@@ -1,5 +1,7 @@
 #include "dataflow/column.hpp"
 
+#include <algorithm>
+
 #include "errors/error.hpp"
 
 namespace ivt::dataflow {
@@ -21,7 +23,30 @@ Column::Column(ValueType type) : type_(type) {
   }
 }
 
+Column Column::dictionary_coded(std::shared_ptr<const Dictionary> dict,
+                                std::vector<std::uint32_t> codes,
+                                std::vector<std::uint8_t> valid) {
+  if (dict == nullptr || codes.size() != valid.size()) {
+    IVT_THROW(errors::Category::Internal,
+              "dictionary column: needs a dictionary and one code per cell");
+  }
+  if (!codes.empty()) {
+    const std::uint32_t top = *std::max_element(codes.begin(), codes.end());
+    if (top >= dict->size()) {
+      IVT_THROW(errors::Category::Internal,
+                "dictionary column: code " + std::to_string(top) +
+                    " outside a dictionary of " +
+                    std::to_string(dict->size()));
+    }
+  }
+  Column col(ValueType::String);
+  col.data_ = DictCodes{std::move(dict), std::move(codes)};
+  col.valid_ = std::move(valid);
+  return col;
+}
+
 void Column::reserve(std::size_t n) {
+  require_appendable();
   valid_.reserve(n);
   switch (type_) {
     case ValueType::Null:
@@ -42,6 +67,13 @@ void Column::throw_type_mismatch(ValueType got) const {
   IVT_THROW(errors::Category::Internal, 
       "column type mismatch: column is " + std::string(to_string(type_)) +
       ", value is " + std::string(to_string(got)));
+}
+
+void Column::require_appendable() const {
+  if (std::holds_alternative<DictCodes>(data_)) {
+    IVT_THROW(errors::Category::Internal,
+              "dictionary-coded column is read-only");
+  }
 }
 
 void Column::append(const Value& v) {
@@ -88,11 +120,13 @@ void Column::append_float64(double v) {
 
 void Column::append_string(std::string v) {
   if (type_ != ValueType::String) throw_type_mismatch(ValueType::String);
+  require_appendable();
   std::get<StringVec>(data_).push_back(std::move(v));
   valid_.push_back(1);
 }
 
 void Column::append_null() {
+  require_appendable();
   switch (type_) {
     case ValueType::Null:
       break;

@@ -4,9 +4,15 @@
 // stored in a dense typed vector plus a validity mask, so hot row-wise
 // kernels (interpretation, reduction predicates) can read contiguous
 // memory instead of chasing boxed variants.
+//
+// A String column may instead be dictionary-coded: one u32 code per cell
+// into a shared, immutable dictionary. Readers cannot tell the two forms
+// apart; only the builder that chose the encoding and the byte accounting
+// look at it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -20,6 +26,16 @@ class Column {
  public:
   Column() : Column(ValueType::Null) {}
   explicit Column(ValueType type);
+
+  using Dictionary = std::vector<std::string>;
+
+  /// A read-only String column whose cell i is `(*dict)[codes[i]]`. Every
+  /// code, a null cell's included, must index `dict` (errors::Error
+  /// otherwise); a null cell's string_at() reads its code's entry. Copies
+  /// share the dictionary. Appending to the column throws.
+  [[nodiscard]] static Column dictionary_coded(
+      std::shared_ptr<const Dictionary> dict,
+      std::vector<std::uint32_t> codes, std::vector<std::uint8_t> valid);
 
   [[nodiscard]] ValueType type() const { return type_; }
   [[nodiscard]] std::size_t size() const { return valid_.size(); }
@@ -49,6 +65,9 @@ class Column {
     return std::get<Float64Vec>(data_)[i];
   }
   [[nodiscard]] const std::string& string_at(std::size_t i) const {
+    if (const auto* d = std::get_if<DictCodes>(&data_)) {
+      return (*d->dict)[d->codes[i]];
+    }
     return std::get<StringVec>(data_)[i];
   }
 
@@ -72,19 +91,29 @@ class Column {
   [[nodiscard]] const std::vector<double>& float64_data() const {
     return std::get<Float64Vec>(data_);
   }
-  [[nodiscard]] const std::vector<std::string>& string_data() const {
-    return std::get<StringVec>(data_);
+
+  /// The shared dictionary of a dictionary-coded column; nullptr for every
+  /// other column.
+  [[nodiscard]] const Dictionary* dictionary() const {
+    const auto* d = std::get_if<DictCodes>(&data_);
+    return d == nullptr ? nullptr : d->dict.get();
   }
 
  private:
   using Int64Vec = std::vector<std::int64_t>;
   using Float64Vec = std::vector<double>;
   using StringVec = std::vector<std::string>;
+  struct DictCodes {
+    std::shared_ptr<const Dictionary> dict;
+    std::vector<std::uint32_t> codes;
+  };
 
   [[noreturn]] void throw_type_mismatch(ValueType got) const;
+  void require_appendable() const;
 
   ValueType type_;
-  std::variant<std::monostate, Int64Vec, Float64Vec, StringVec> data_;
+  std::variant<std::monostate, Int64Vec, Float64Vec, StringVec, DictCodes>
+      data_;
   std::vector<std::uint8_t> valid_;
 };
 

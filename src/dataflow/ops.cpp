@@ -90,13 +90,10 @@ Table project(Engine& engine, const Table& in,
   return engine.map_partitions(
       "project", in, out_schema,
       [&](const Partition& p, std::size_t) {
-        Partition out = Table::make_partition(out_schema);
-        const std::size_t n = p.num_rows();
-        for (std::size_t c = 0; c < src_cols.size(); ++c) {
-          out.columns[c].reserve(n);
-          for (std::size_t r = 0; r < n; ++r) {
-            out.columns[c].append_from(p.columns[src_cols[c]], r);
-          }
+        Partition out;
+        out.columns.reserve(src_cols.size());
+        for (const std::size_t src : src_cols) {
+          out.columns.push_back(p.columns[src]);
         }
         return out;
       });

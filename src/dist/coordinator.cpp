@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -181,6 +182,8 @@ void Coordinator::accept_loop() {
       break;
     }
     OBS_COUNT("dist.connections_total", 1);
+    const int one = 1;  // whole-frame replies: no Nagle hold-back
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const support::MutexLock lock(conn_mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -121,6 +122,9 @@ Client::Client(const std::string& host, std::uint16_t port, int timeout_ms) {
     fd_ = -1;
     throw;
   }
+  // Requests are whole frames; don't let Nagle hold one back.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 Client::~Client() {

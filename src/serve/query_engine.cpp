@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -562,10 +563,19 @@ QueryResult QueryEngine::op_mine(RequestContext& ctx) {
 
 std::size_t approx_table_bytes(const dataflow::Table& table) {
   std::size_t bytes = 0;
+  std::unordered_set<const dataflow::Column::Dictionary*> dictionaries;
   for (std::size_t p = 0; p < table.num_partitions(); ++p) {
     const dataflow::Partition& part = table.partition(p);
     for (const dataflow::Column& col : part.columns) {
       bytes += col.size();  // validity mask
+      if (const dataflow::Column::Dictionary* dict = col.dictionary()) {
+        bytes += col.size() * sizeof(std::uint32_t);
+        if (dictionaries.insert(dict).second) {
+          bytes += dict->size() * sizeof(std::string);
+          for (const std::string& s : *dict) bytes += s.size();
+        }
+        continue;
+      }
       switch (col.type()) {
         case dataflow::ValueType::Int64:
           bytes += col.size() * sizeof(std::int64_t);
@@ -575,7 +585,9 @@ std::size_t approx_table_bytes(const dataflow::Table& table) {
           break;
         case dataflow::ValueType::String:
           bytes += col.size() * sizeof(std::string);
-          for (const std::string& s : col.string_data()) bytes += s.size();
+          for (std::size_t r = 0; r < col.size(); ++r) {
+            bytes += col.string_at(r).size();
+          }
           break;
         default:
           break;

@@ -184,8 +184,10 @@ class QueryEngine {
 };
 
 /// Rough resident size of a table (cache accounting): cell storage plus
-/// string bytes. Not exact — it ignores allocator overhead — but
-/// proportional, which is all byte-budget eviction needs.
+/// string bytes. A dictionary-coded column counts 4 B codes per cell plus
+/// its dictionary, once per table however many partitions share it. Not
+/// exact — it ignores allocator overhead — but proportional, which is all
+/// byte-budget eviction needs.
 [[nodiscard]] std::size_t approx_table_bytes(const dataflow::Table& table);
 
 }  // namespace ivt::serve

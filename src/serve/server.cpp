@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -232,6 +233,10 @@ void Server::accept_loop() {
       continue;
     }
     OBS_COUNT("serve.connections_total", 1);
+    // Replies are whole frames: send them now instead of holding the last
+    // segment back for the client's delayed ACK (Nagle).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const support::MutexLock lock(mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);

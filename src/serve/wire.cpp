@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -42,10 +43,14 @@ std::size_t read_exact(int fd, char* buf, std::size_t n) {
   return done;
 }
 
-void write_exact(int fd, const char* buf, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t put = ::send(fd, buf + done, n - done, kSendFlags);
+/// Send every byte of `iov[0..count)` with one gather write per call,
+/// advancing past whatever a short write left unsent.
+void write_all(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t put = ::sendmsg(fd, &msg, kSendFlags);
     if (put < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -56,7 +61,16 @@ void write_exact(int fd, const char* buf, std::size_t n) {
                 std::string("serve: socket write failed: ") +
                     std::strerror(errno));
     }
-    done += static_cast<std::size_t>(put);
+    auto left = static_cast<std::size_t>(put);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
 }
 
@@ -136,9 +150,12 @@ void write_frame(int fd, const Frame& frame) {
   store_u32le(header, kFrameMagic);
   store_u32le(header + 4, static_cast<std::uint32_t>(frame.json.size()));
   store_u32le(header + 8, static_cast<std::uint32_t>(frame.payload.size()));
-  write_exact(fd, header, sizeof(header));
-  write_exact(fd, frame.json.data(), frame.json.size());
-  write_exact(fd, frame.payload.data(), frame.payload.size());
+  iovec iov[3] = {
+      {header, sizeof(header)},
+      {const_cast<char*>(frame.json.data()), frame.json.size()},
+      {const_cast<char*>(frame.payload.data()), frame.payload.size()},
+  };
+  write_all(fd, iov, 3);
 }
 
 }  // namespace ivt::serve

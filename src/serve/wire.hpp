@@ -40,8 +40,10 @@ struct Frame {
 /// over the limits.
 bool read_frame(int fd, Frame& out);
 
-/// Write one frame to `fd`. Throws errors::Error(Format) when a body
-/// exceeds its limit and errors::Error(Io) when the peer is gone.
+/// Write one frame to `fd`: header, JSON and payload go out in one gather
+/// write (so a small reply is one TCP segment), re-issued past short
+/// writes. Throws errors::Error(Format) when a body exceeds its limit and
+/// errors::Error(Io) when the peer is gone.
 void write_frame(int fd, const Frame& frame);
 
 }  // namespace ivt::serve

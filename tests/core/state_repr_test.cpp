@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <set>
+#include <sstream>
+#include <unordered_map>
+
 #include "core/schemas.hpp"
+#include "dataflow/csv.hpp"
+#include "dataflow/ops.hpp"
+#include "serve/query_engine.hpp"
 #include "test_fixtures.hpp"
 
 namespace ivt::core {
@@ -155,6 +164,164 @@ TEST(StateReprTest, EmptyInput) {
   const auto state = build_state_representation(engine(), krep);
   EXPECT_EQ(state.num_rows(), 0u);
   EXPECT_EQ(state.schema().size(), 1u);  // just "t"
+}
+
+/// The boxed row-at-a-time builder the coded one replaced: sort_by on t,
+/// one pass for column order, one forward-filling pass that appends a
+/// boxed row per state change. Kept as the oracle.
+dataflow::Table reference_state(dataflow::Engine& engine,
+                                const dataflow::Table& krep,
+                                const StateRepresentationOptions& options) {
+  const dataflow::Table sorted =
+      dataflow::sort_by(engine, krep, {{"t", true}}, "reference_sort");
+  const std::size_t t_col = sorted.schema().require("t");
+  const std::size_t sid_col = sorted.schema().require("s_id");
+  const std::size_t value_col = sorted.schema().require("value");
+  const std::size_t kind_col = sorted.schema().require("element_kind");
+  auto skipped = [&](const dataflow::RowView& row) {
+    return !options.include_extensions &&
+           row.string_at(kind_col) == kElementExtension;
+  };
+  std::vector<dataflow::Field> fields{{"t", dataflow::ValueType::Int64}};
+  std::unordered_map<std::string, std::size_t> column_of;
+  sorted.for_each_row([&](const dataflow::RowView& row) {
+    if (skipped(row)) return;
+    if (column_of.emplace(row.string_at(sid_col), column_of.size()).second) {
+      fields.push_back({row.string_at(sid_col), dataflow::ValueType::String});
+    }
+  });
+  dataflow::TableBuilder builder(dataflow::Schema{fields}, 0);
+  std::vector<dataflow::Value> current(column_of.size());
+  std::vector<bool> touched(column_of.size(), false);
+  std::int64_t pending_t = 0;
+  bool pending = false;
+  auto emit = [&] {
+    if (!pending) return;
+    std::vector<dataflow::Value> row{dataflow::Value{pending_t}};
+    row.insert(row.end(), current.begin(), current.end());
+    builder.append_row(std::move(row));
+    for (std::size_t c = 0; c < current.size(); ++c) {
+      if (options.momentary_extensions && touched[c]) {
+        current[c] = dataflow::Value{};
+        touched[c] = false;
+      }
+    }
+    pending = false;
+  };
+  sorted.for_each_row([&](const dataflow::RowView& row) {
+    if (skipped(row)) return;
+    const std::int64_t t = row.int64_at(t_col);
+    if (pending && (!options.merge_same_timestamp || t != pending_t)) emit();
+    const std::size_t c = column_of.at(row.string_at(sid_col));
+    current[c] = dataflow::Value{row.string_at(value_col)};
+    if (row.string_at(kind_col) == kElementExtension) touched[c] = true;
+    pending_t = t;
+    pending = true;
+  });
+  emit();
+  return builder.build().repartitioned(engine.default_partitions());
+}
+
+/// A LIG-shaped K_rep: 180 signal types, one partition per sequence (a
+/// few signals have two) plus extension partitions, timestamps on a coarse
+/// grid so elements collide, within a sequence and across sequences of
+/// one signal (same-timestamp merges whose winner depends on a stable
+/// sort), a few null values, outliers, and momentary extension elements.
+dataflow::Table lig_shaped_krep() {
+  std::mt19937_64 rng(20180624);
+  dataflow::Table krep(krep_schema());
+  auto add_partition = [&](const std::string& s_id, const char* kind,
+                           std::size_t n) {
+    dataflow::TableBuilder builder(krep_schema(), 0);
+    std::int64_t t = static_cast<std::int64_t>(rng() % 50) * kMs;
+    for (std::size_t i = 0; i < n; ++i) {
+      dataflow::Partition& dst = builder.current_partition();
+      dst.columns[0].append_int64(t);
+      dst.columns[1].append_string(s_id);
+      if (rng() % 40 == 0) {
+        dst.columns[2].append_null();
+      } else {
+        dst.columns[2].append_string("v" + std::to_string(rng() % 6));
+      }
+      dst.columns[3].append_null();
+      const bool outlier = kind == kElementState && rng() % 25 == 0;
+      dst.columns[4].append_string(outlier ? kElementOutlier : kind);
+      dst.columns[5].append_string("FC");
+      builder.commit_row();
+      t += static_cast<std::int64_t>(rng() % 400) * kMs;
+    }
+    krep.add_partition(builder.build().partition(0));
+  };
+  for (int s = 0; s < 180; ++s) {
+    add_partition("LIG_s" + std::to_string(s), kElementState, 8 + rng() % 40);
+  }
+  for (int s = 0; s < 180; s += 20) {  // a signal seen on a second bus
+    add_partition("LIG_s" + std::to_string(s), kElementState, 8 + rng() % 40);
+  }
+  for (int s = 0; s < 180; s += 9) {
+    add_partition("LIG_s" + std::to_string(s) + ".cycle_violation",
+                  kElementExtension, 4 + rng() % 8);
+  }
+  return krep;
+}
+
+std::string render(const dataflow::Table& table) {
+  std::ostringstream out;
+  dataflow::write_csv(table, out);
+  return out.str();
+}
+
+TEST(StateReprTest, LigShapedMatchesBoxedReference) {
+  const dataflow::Table krep = lig_shaped_krep();
+  // The defaults, then each option flipped on its own.
+  std::vector<StateRepresentationOptions> variants(4);
+  variants[1].merge_same_timestamp = false;
+  variants[2].include_extensions = false;
+  variants[3].momentary_extensions = false;
+  for (const StateRepresentationOptions& options : variants) {
+    SCOPED_TRACE(::testing::Message()
+                 << "merge=" << options.merge_same_timestamp
+                 << " extensions=" << options.include_extensions
+                 << " momentary=" << options.momentary_extensions);
+    const dataflow::Table state =
+        build_state_representation(engine(), krep, options);
+    const dataflow::Table expected = reference_state(engine(), krep, options);
+    ASSERT_EQ(state.schema().size(), options.include_extensions ? 201u : 181u);
+    EXPECT_EQ(render(state), render(expected));
+    ASSERT_EQ(state.num_partitions(), expected.num_partitions());
+    for (std::size_t p = 0; p < state.num_partitions(); ++p) {
+      EXPECT_EQ(state.partition(p).num_rows(),
+                expected.partition(p).num_rows());
+    }
+  }
+}
+
+TEST(StateReprTest, MemoryScalesWithCodesNotStrings) {
+  const dataflow::Table krep = lig_shaped_krep();
+  const dataflow::Table state = build_state_representation(engine(), krep);
+
+  // Each column's dictionary holds its distinct values plus the "" entry
+  // null cells read.
+  std::map<std::string, std::set<std::string>> values;
+  krep.for_each_row([&](const dataflow::RowView& row) {
+    values[row.string_at(1)].insert(row.string_at(2));
+  });
+  std::size_t dictionary_bytes = 0;
+  for (auto& [s_id, distinct] : values) {
+    distinct.insert("");
+    for (const std::string& v : distinct) {
+      dictionary_bytes += sizeof(std::string) + v.size();
+    }
+  }
+  // 5 B per signal cell (u32 code + validity byte), 9 B per row for the
+  // int64 "t" column, each dictionary once, and a fixed slack.
+  const std::size_t rows = state.num_rows();
+  const std::size_t signal_cells = rows * (state.schema().size() - 1);
+  const std::size_t budget =
+      signal_cells * 5 + rows * 9 + dictionary_bytes + 4096;
+  EXPECT_LE(serve::approx_table_bytes(state), budget);
+  // A plain string table of the same cells costs a std::string per cell.
+  EXPECT_GT(signal_cells * sizeof(std::string), 4 * budget);
 }
 
 }  // namespace

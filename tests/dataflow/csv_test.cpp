@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "dictionary_fixture.hpp"
+
 namespace ivt::dataflow {
 namespace {
 
@@ -103,6 +105,20 @@ TEST(CsvTest, FileRoundTrip) {
   write_csv_file(sample_table(), path);
   const Table back = read_csv_file(path, csv_schema());
   EXPECT_EQ(back.collect_rows(), sample_table().collect_rows());
+}
+
+TEST(CsvTest, DictionaryColumnsWriteTheSameBytes) {
+  const Table coded = testing::dictionary_table();
+  const Table plain = testing::plain_copy(coded);
+  ASSERT_EQ(plain.partition(0).columns[1].dictionary(), nullptr);
+  std::ostringstream plain_out;
+  std::ostringstream coded_out;
+  write_csv(plain, plain_out);
+  write_csv(coded, coded_out);
+  EXPECT_EQ(coded_out.str(), plain_out.str());
+  EXPECT_EQ(plain_out.str(),
+            "t,a,b\n0,x,\n1,\"with,comma\",\n2,\"with \"\"quote\"\"\",x\n"
+            "3,,\"with \"\"quote\"\"\"\n");
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "dictionary_fixture.hpp"
+
 namespace ivt::dataflow {
 namespace {
 
@@ -95,6 +97,18 @@ TEST(TableIoTest, LargeTableRoundTrip) {
   const Table back = read_table(ss);
   EXPECT_EQ(back.num_rows(), 5000u);
   EXPECT_EQ(back.collect_rows(), t.collect_rows());
+}
+
+TEST(TableIoTest, DictionaryColumnsWriteTheSameBytes) {
+  const Table coded = testing::dictionary_table();
+  const Table plain = testing::plain_copy(coded);
+  std::ostringstream plain_out;
+  std::ostringstream coded_out;
+  write_table(plain, plain_out);
+  write_table(coded, coded_out);
+  EXPECT_EQ(coded_out.str(), plain_out.str());
+  std::istringstream in(coded_out.str());
+  EXPECT_EQ(read_table(in).collect_rows(), plain.collect_rows());
 }
 
 }  // namespace

@@ -174,6 +174,11 @@ TEST_P(DistEquivalenceTest, SeededFailuresRecoverByteIdentical) {
     dcfg.nodes = 4;
     dcfg.failure_rate = 0.05;
     dcfg.seed = seed;
+    // No speculation: a whole run can end sooner than the heartbeat sweep
+    // declares a node dead (dead_after_missed × heartbeat_ms), and a
+    // speculative copy of the dead node's range would then finish the job
+    // without the death or the re-assignment ever being recorded.
+    dcfg.speculate_min_age = 0;
     const testdiff::RunOutcome dist =
         run_dist_outcome(reader, base_config(), dcfg);
     ASSERT_TRUE(testdiff::outcomes_equivalent(batch, dist));

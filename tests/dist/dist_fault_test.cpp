@@ -127,12 +127,15 @@ TEST_F(DistFaultTest, StarvedHeartbeatsKillReassignAndMergeCorrectly) {
   // drops — p^3 ~= 0.51 per window, so a multi-window range attempt dies
   // more often than not, yet survives often enough (~25-40 %) that the
   // job finishes in seconds instead of relying on a rare lucky streak.
+  // The slowdown alone must make ranges multi-window: with replies sent
+  // without Nagle stalls, 38 ms morsels left about one run in ten with
+  // no death at all.
   ASSERT_GT(faultfx::arm("dist.heartbeat:error:0.8:seed=3"), 0u);
   dist::DistRunConfig dcfg = dist_config();
   dcfg.nodes = 3;
   dcfg.heartbeat_ms = 20;
   dcfg.dead_after_missed = 3;
-  dcfg.slow_factor = 40.0;  // ~38 ms per morsel: 2-morsel ranges > deadline
+  dcfg.slow_factor = 80.0;  // ~76 ms per morsel: 2-morsel ranges > deadline
   dcfg.target_ranges = 4;
   dcfg.speculate_min_age = 1'000'000;
   const testdiff::RunOutcome dist = dist_outcome(dcfg);

@@ -3,9 +3,13 @@
 #include "serve/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -123,6 +127,62 @@ TEST(WireTest, LargePayloadRoundTrip) {
   ASSERT_TRUE(read_frame(pair.fds[1], received));
   writer.join();
   EXPECT_EQ(received.payload, payload);
+}
+
+void ignore_signal(int /*signo*/) {}
+
+TEST(WireTest, ShortWritesResumeWhereTheyStopped) {
+  // A signal that lands while a blocking send waits on a full socket
+  // buffer ends the call with a partial count (no SA_RESTART). Signal the
+  // writer between reads so its gather writes keep stopping part-way, in
+  // the JSON body first and then in the payload.
+  struct sigaction handler {};
+  handler.sa_handler = ignore_signal;
+  sigemptyset(&handler.sa_mask);
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &handler, &saved), 0);
+
+  SocketPair pair;
+  const int small = 4096;
+  ::setsockopt(pair.fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  Frame sent{std::string(40000, ' '), std::string(200000, '\0')};
+  sent.json.front() = '{';
+  sent.json.back() = '}';
+  for (std::size_t i = 0; i < sent.payload.size(); ++i) {
+    sent.payload[i] = static_cast<char>(i * 131 + (i >> 8));
+  }
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    write_frame(pair.fds[0], sent);
+    done.store(true);
+  });
+  const std::size_t total = 12 + sent.json.size() + sent.payload.size();
+  std::string wire;
+  char buf[4096];
+  while (wire.size() < total) {
+    if (!done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ::pthread_kill(writer.native_handle(), SIGUSR1);
+    }
+    const ssize_t got = ::read(pair.fds[1], buf, sizeof(buf));
+    ASSERT_GT(got, 0);
+    wire.append(buf, static_cast<std::size_t>(got));
+  }
+  writer.join();
+  ::sigaction(SIGUSR1, &saved, nullptr);
+
+  ASSERT_EQ(wire.size(), total);
+  // The bytes on the wire must parse back to the frame that was sent.
+  SocketPair replay;
+  std::thread feeder([&] {
+    ASSERT_EQ(::send(replay.fds[0], wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+  });
+  Frame received;
+  ASSERT_TRUE(read_frame(replay.fds[1], received));
+  feeder.join();
+  EXPECT_EQ(received.json, sent.json);
+  EXPECT_EQ(received.payload, sent.payload);
 }
 
 // ---------------------------------------------------------------- JSON --
