@@ -11,6 +11,7 @@
 #include "algo/outliers.hpp"
 #include "algo/sax.hpp"
 #include "algo/smoothing.hpp"
+#include "algo/stats.hpp"
 #include "algo/swab.hpp"
 
 namespace {
@@ -27,6 +28,52 @@ std::vector<double> noisy_sine(std::size_t n) {
   }
   return xs;
 }
+
+/// Branch α's input shape: steps and ramps with light noise, sampled
+/// every 20 ms (seconds as the timestamps, as process_alpha passes them).
+struct StepRamp {
+  std::vector<double> ts;
+  std::vector<double> xs;
+};
+
+StepRamp step_and_ramp(std::size_t n) {
+  StepRamp s;
+  std::mt19937_64 rng(11);
+  std::normal_distribution<double> noise(0.0, 0.2);
+  double level = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t phase = i % 400;
+    if (phase == 0) level = static_cast<double>((i / 400) % 5) * 20.0;
+    const double ramp = phase < 200 ? 0.0 : static_cast<double>(phase - 200);
+    s.ts.push_back(static_cast<double>(i) * 0.02);
+    s.xs.push_back(level + 0.1 * ramp + noise(rng));
+  }
+  return s;
+}
+
+/// Hampel at branch α's configuration (window 5, threshold 3).
+void BM_HampelAlpha(benchmark::State& state) {
+  const StepRamp s = step_and_ramp(static_cast<std::size_t>(state.range(0)));
+  const OutlierConfig config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detect_outliers(s.xs, config));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HampelAlpha)->Arg(10000)->Arg(100000);
+
+/// SWAB at branch α's configuration: buffer 120, max_error = 5 × var.
+void BM_SwabAlpha(benchmark::State& state) {
+  const StepRamp s = step_and_ramp(static_cast<std::size_t>(state.range(0)));
+  SegmentationConfig config;
+  config.buffer_size = 120;
+  config.max_error = 5.0 * variance(s.xs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(swab_segment(s.ts, s.xs, config));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SwabAlpha)->Arg(10000)->Arg(100000);
 
 void BM_SwabSegment(benchmark::State& state) {
   const auto xs = noisy_sine(static_cast<std::size_t>(state.range(0)));

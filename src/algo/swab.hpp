@@ -55,6 +55,12 @@ std::vector<Segment> sliding_window_segment(std::span<const double> ts,
 /// refill with the next sliding-window segment. Produces offline-quality
 /// segmentations with online (one-pass) behaviour.
 ///
+/// All three segmentations decide on O(1) prefix-sum costs whose rounding
+/// error is bounded, falling back to fit_segment's error where the bound
+/// cannot settle a decision; the result is the one refitting every
+/// candidate gives, bit for bit. The counter algo.swab.exact_refits adds
+/// each call's fallbacks.
+///
 /// `ts` are the sample x-positions (timestamps); `xs` the values.
 /// Both spans must have equal size. An empty input yields no segments.
 std::vector<Segment> swab_segment(std::span<const double> ts,

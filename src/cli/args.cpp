@@ -46,24 +46,48 @@ std::string Args::require(const std::string& key) const {
 double Args::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
+  std::size_t used = 0;
+  double out = 0.0;
   try {
-    return std::stod(*v);
+    out = std::stod(*v, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v->size()) {
     throw std::invalid_argument("option --" + key + " expects a number, got '" +
                                 *v + "'");
   }
+  return out;
 }
 
 std::int64_t Args::get_int(const std::string& key,
                            std::int64_t fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
+  std::size_t used = 0;
+  std::int64_t out = 0;
   try {
-    return std::stoll(*v);
+    out = std::stoll(*v, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v->size()) {
     throw std::invalid_argument("option --" + key +
                                 " expects an integer, got '" + *v + "'");
   }
+  return out;
+}
+
+std::uint64_t Args::get_count(const std::string& key, std::uint64_t fallback,
+                              std::uint64_t max) const {
+  const std::int64_t value =
+      get_int(key, static_cast<std::int64_t>(fallback));
+  if (value < 0 || static_cast<std::uint64_t>(value) > max) {
+    throw std::invalid_argument("option --" + key + " expects a count in [0, " +
+                                std::to_string(max) + "], got '" +
+                                std::to_string(value) + "'");
+  }
+  return static_cast<std::uint64_t>(value);
 }
 
 std::vector<std::string> Args::get_list(const std::string& key) const {

@@ -1,6 +1,8 @@
 // Minimal command-line argument parsing for the ivt tool.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,16 +34,23 @@ class Args {
   /// Throws std::invalid_argument with a usage-friendly message if absent.
   [[nodiscard]] std::string require(const std::string& key) const;
 
+  /// Numeric values: the whole value must parse (no trailing garbage), or
+  /// std::invalid_argument (a usage error) is thrown.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// A non-negative integer no larger than `max` (sizes, counts, ports,
+  /// durations); anything else is a usage error.
+  [[nodiscard]] std::uint64_t get_count(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::int64_t>::max()) const;
 
   /// Comma-separated list value; empty vector when absent.
   [[nodiscard]] std::vector<std::string> get_list(
       const std::string& key) const;
 
-  /// Options that were never read — surfaced as typo protection.
+  /// Options that were never read: unknown to the command, a usage error.
   [[nodiscard]] std::vector<std::string> unused() const;
 
  private:

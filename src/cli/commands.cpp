@@ -42,6 +42,11 @@ namespace ivt::cli {
 
 namespace {
 
+/// Upper bounds of the count options (Args::get_count).
+constexpr std::uint64_t kPortMax = 65535;
+constexpr std::uint64_t kIntMax = 2147483647;
+constexpr std::uint64_t kMbMax = std::uint64_t{1} << 20;  // 1 TiB budgets
+
 constexpr const char* kUsage = R"(ivt — in-vehicle network trace preprocessing (DAC'18 reproduction)
 
 usage: ivt <command> [options]
@@ -278,15 +283,21 @@ void write_table_arg(const dataflow::Table& table, const std::string& path) {
   }
 }
 
-void warn_unused(const Args& args) {
+/// Every command reads all its options before it starts work, so an
+/// option still unread here is one the command does not know: a usage
+/// error (exit 2), not a warning after a full run.
+void reject_unused(const Args& args) {
+  std::string unknown;
   for (const std::string& key : args.unused()) {
-    std::fprintf(stderr, "warning: unknown option --%s ignored\n",
-                 key.c_str());
+    unknown += (unknown.empty() ? "--" : ", --") + key;
+  }
+  if (!unknown.empty()) {
+    throw std::invalid_argument("unknown option " + unknown);
   }
 }
 
 /// --trace-out / --metrics-out handling shared by extract/run/mine.
-/// Read the options before the command runs (so warn_unused stays
+/// Read the options before the command runs (so reject_unused stays
 /// accurate), write the artifacts after it finishes.
 class ObsOutputs {
  public:
@@ -319,7 +330,7 @@ class ObsOutputs {
 /// trivially (at most one task exists at a time).
 dataflow::EngineConfig engine_config_from_args(const Args& args) {
   dataflow::EngineConfig config;
-  config.workers = static_cast<std::size_t>(args.get_int("workers", 0));
+  config.workers = static_cast<std::size_t>(args.get_count("workers", 0));
   const auto text = args.get("workers");
   if (text && config.workers == 0) config.inline_execution = true;
   return config;
@@ -412,10 +423,10 @@ int cmd_simulate(const Args& args) {
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   config.inject_faults = !args.has("no-faults");
   const std::size_t journeys =
-      static_cast<std::size_t>(args.get_int("journeys", 1));
+      static_cast<std::size_t>(args.get_count("journeys", 1));
   const std::string prefix = args.get_or("out", dataset);
   const std::string catalog_path = args.get_or("catalog", prefix + ".ivsdb");
-  warn_unused(args);
+  reject_unused(args);
 
   const simnet::Fleet fleet = simnet::make_fleet(journeys, spec, config);
   signaldb::save_catalog(fleet.catalog, catalog_path);
@@ -435,7 +446,7 @@ int cmd_simulate(const Args& args) {
 
 /// Chunk-directory / zone-map dump of a columnar container.
 int inspect_columnar(const std::string& path, const Args& args) {
-  warn_unused(args);
+  reject_unused(args);
   const colstore::ColumnarReader reader(path);
   std::printf("container    : ivc (columnar, %zu chunks)\n",
               reader.num_chunks());
@@ -475,7 +486,7 @@ int cmd_inspect(const Args& args) {
   }
   const tracefile::Trace trace = tracefile::load_trace(trace_path);
   const auto catalog_path = args.get("catalog");
-  warn_unused(args);
+  reject_unused(args);
 
   const tracefile::TraceStats stats = tracefile::compute_stats(trace);
   std::printf("vehicle      : %s\n", trace.vehicle.c_str());
@@ -512,7 +523,7 @@ int cmd_inspect(const Args& args) {
 
 int cmd_catalog(const Args& args) {
   const signaldb::Catalog catalog = signaldb::load_catalog(args.require("file"));
-  warn_unused(args);
+  reject_unused(args);
   std::printf("messages: %zu, signals: %zu\n", catalog.num_messages(),
               catalog.num_signals());
   std::printf("buses:");
@@ -535,9 +546,8 @@ int cmd_pack(const Args& args) {
   const std::string out_path = args.require("out");
   colstore::ColumnarWriterOptions options;
   options.chunk_rows = static_cast<std::size_t>(
-      args.get_int("chunk-rows",
-                   static_cast<std::int64_t>(colstore::kDefaultChunkRows)));
-  warn_unused(args);
+      args.get_count("chunk-rows", colstore::kDefaultChunkRows));
+  reject_unused(args);
 
   const colstore::PackStats stats =
       colstore::pack_trace_file(trace_path, out_path, options);
@@ -567,7 +577,7 @@ int cmd_extract(const Args& args) {
   const colstore::ScanMode scan_mode =
       colstore::parse_scan_mode(args.get_or("scan", "decoded"));
   const ObsOutputs obs_outputs(args);
-  warn_unused(args);
+  reject_unused(args);
 
   dataflow::Engine engine(engine_config);
   const auto urel = signals.empty()
@@ -652,21 +662,20 @@ int cmd_run(const Args& args) {
   config.scan_mode = colstore::parse_scan_mode(args.get_or("scan", "decoded"));
   const auto state_path = args.get("state");
   const auto krep_path = args.get("krep");
-  // Sim knobs are read unconditionally so warn_unused stays accurate;
+  // Sim knobs are read unconditionally so reject_unused stays accurate;
   // they only take effect under --exec dist.
   dist::DistRunConfig dist_config;
   dist_config.trace_path = trace_path;
   dist_config.catalog_path = catalog_path;
-  dist_config.nodes = static_cast<std::size_t>(args.get_int("sim-nodes", 4));
-  dist_config.target_ranges =
-      static_cast<std::uint64_t>(args.get_int("ranges", 0));
+  dist_config.nodes = static_cast<std::size_t>(args.get_count("sim-nodes", 4));
+  dist_config.target_ranges = args.get_count("ranges", 0);
   dist_config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
   dist_config.failure_rate = args.get_double("sim-failure-rate", 0.0);
   dist_config.latency_ms =
-      static_cast<int>(args.get_int("sim-latency-ms", 0));
+      static_cast<int>(args.get_count("sim-latency-ms", 0, kIntMax));
   dist_config.slow_factor = args.get_double("sim-slow-factor", 1.0);
   const ObsOutputs obs_outputs(args);
-  warn_unused(args);
+  reject_unused(args);
 
   dataflow::Engine engine(engine_config);
   const core::Pipeline pipeline(catalog, config);
@@ -737,7 +746,7 @@ int cmd_mine(const Args& args) {
   config.extensions = {core::cycle_violation_extension(1.5)};
   const dataflow::EngineConfig engine_config = engine_config_from_args(args);
   const std::size_t top_k =
-      static_cast<std::size_t>(args.get_int("top-k", 10));
+      static_cast<std::size_t>(args.get_count("top-k", 10));
   const double rare_probability =
       args.get_double("rare-probability", 0.05);
   const double min_support = args.get_double("min-support", 0.1);
@@ -745,7 +754,7 @@ int cmd_mine(const Args& args) {
   std::vector<std::string> rule_columns = args.get_list("rule-columns");
   const auto dot_path = args.get("dot");
   const ObsOutputs obs_outputs(args);
-  warn_unused(args);
+  reject_unused(args);
 
   dataflow::Engine engine(engine_config);
   const core::Pipeline pipeline(catalog, config);
@@ -821,7 +830,7 @@ int cmd_export_asc(const Args& args) {
   const tracefile::Trace trace =
       colstore::load_any_trace(args.require("trace"));
   const auto out_path = args.get("out");
-  warn_unused(args);
+  reject_unused(args);
   if (out_path) {
     std::ofstream out(*out_path, std::ios::binary);
     if (!out) throw std::runtime_error("cannot open for write: " + *out_path);
@@ -873,22 +882,23 @@ int cmd_serve(const Args& args) {
   }
   serve::ServerConfig config;
   config.host = args.get_or("host", "127.0.0.1");
-  config.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  config.workers = static_cast<std::size_t>(args.get_int("workers", 0));
+  config.port = static_cast<std::uint16_t>(args.get_count("port", 0, kPortMax));
+  config.workers = static_cast<std::size_t>(args.get_count("workers", 0));
   config.max_in_flight =
-      static_cast<std::size_t>(args.get_int("max-in-flight", 0));
+      static_cast<std::size_t>(args.get_count("max-in-flight", 0));
   config.query.chunk_cache_bytes =
-      static_cast<std::size_t>(args.get_int("cache-mb", 64)) << 20U;
+      static_cast<std::size_t>(args.get_count("cache-mb", 64, kMbMax)) << 20U;
   config.query.state_cache_bytes =
-      static_cast<std::size_t>(args.get_int("state-cache-mb", 64)) << 20U;
+      static_cast<std::size_t>(args.get_count("state-cache-mb", 64, kMbMax))
+      << 20U;
   config.query.stats_window_s =
-      static_cast<std::size_t>(args.get_int("stats-window-s", 60));
+      static_cast<std::size_t>(args.get_count("stats-window-s", 60));
   config.query.scan_mode =
       colstore::parse_scan_mode(args.get_or("scan", "decoded"));
   config.event_log_path = args.get_or("event-log", "");
   config.slow_query_ms = args.get_double("slow-query-ms", 0.0);
   const auto trace_out = args.get("trace-out");
-  warn_unused(args);
+  reject_unused(args);
 
   auto catalog = std::make_unique<serve::TraceCatalog>(std::move(db));
   for (const std::string& path : trace_paths) {
@@ -927,7 +937,8 @@ int cmd_serve(const Args& args) {
 
 int cmd_query(const Args& args) {
   const std::string host = args.get_or("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int("port", 0));
+  const auto port =
+      static_cast<std::uint16_t>(args.get_count("port", 0, kPortMax));
   if (port == 0) {
     throw std::invalid_argument("query: --port is required");
   }
@@ -948,11 +959,15 @@ int cmd_query(const Args& args) {
   if (args.has("rate-threshold")) {
     request.add("rate_threshold_hz", args.get_double("rate-threshold", 5.0));
   }
-  if (args.has("top-k")) request.add("top_k", args.get_int("top-k", 10));
+  if (args.has("top-k")) {
+    request.add("top_k",
+                static_cast<std::int64_t>(args.get_count("top-k", 10)));
+  }
   const auto out_path = args.get("out");
   const auto trace_out = args.get("trace-out");
-  const int timeout_ms = static_cast<int>(args.get_int("timeout-ms", 0));
-  warn_unused(args);
+  const int timeout_ms =
+      static_cast<int>(args.get_count("timeout-ms", 0, kIntMax));
+  reject_unused(args);
 
   // Mint a trace context and attach it to the request so the server's
   // spans and access record carry the same trace id as the client span
@@ -1004,7 +1019,7 @@ int cmd_query(const Args& args) {
 int cmd_trace_merge(const Args& args) {
   const std::string out_path = args.require("out");
   const std::vector<std::string>& inputs = args.positional();
-  warn_unused(args);
+  reject_unused(args);
   if (inputs.empty()) {
     throw std::invalid_argument(
         "trace-merge: at least one input trace path is required");
@@ -1048,17 +1063,17 @@ int cmd_coordinator(const Args& args) {
 
   dist::CoordinatorConfig ccfg;
   ccfg.host = args.get_or("host", "127.0.0.1");
-  ccfg.port = static_cast<std::uint16_t>(args.get_int("port", 0));
+  ccfg.port = static_cast<std::uint16_t>(args.get_count("port", 0, kPortMax));
   ccfg.trace_path = trace_path;
   ccfg.catalog_path = catalog_path;
-  ccfg.target_ranges = static_cast<std::uint64_t>(args.get_int("ranges", 0));
+  ccfg.target_ranges = args.get_count("ranges", 0);
   ccfg.expected_workers =
-      static_cast<std::size_t>(args.get_int("expect-workers", 4));
-  ccfg.heartbeat_ms = static_cast<int>(args.get_int("heartbeat-ms", 50));
+      static_cast<std::size_t>(args.get_count("expect-workers", 4));
+  ccfg.heartbeat_ms =
+      static_cast<int>(args.get_count("heartbeat-ms", 50, kIntMax));
   ccfg.dead_after_missed =
-      static_cast<int>(args.get_int("dead-after-missed", 3));
-  ccfg.speculate_min_age =
-      static_cast<std::uint64_t>(args.get_int("speculate-min-age", 2));
+      static_cast<int>(args.get_count("dead-after-missed", 3, kIntMax));
+  ccfg.speculate_min_age = args.get_count("speculate-min-age", 2);
   const auto state_path = args.get("state");
   const auto krep_path = args.get("krep");
   const std::string report_kind = args.get_or("report", "text");
@@ -1066,7 +1081,7 @@ int cmd_coordinator(const Args& args) {
     throw std::invalid_argument("unknown report kind '" + report_kind + "'");
   }
   const ObsOutputs obs_outputs(args);
-  warn_unused(args);
+  reject_unused(args);
 
   if (!colstore::is_columnar_trace_file(trace_path)) {
     throw std::invalid_argument(
@@ -1127,20 +1142,22 @@ int cmd_coordinator(const Args& args) {
 int cmd_worker(const Args& args) {
   dist::WorkerOptions options;
   options.host = args.get_or("host", "127.0.0.1");
-  options.port = static_cast<std::uint16_t>(args.get_int("port", 0));
+  options.port =
+      static_cast<std::uint16_t>(args.get_count("port", 0, kPortMax));
   if (options.port == 0) {
     throw std::invalid_argument("worker: --port is required");
   }
   options.name = args.require("name");
-  options.timeout_ms = static_cast<int>(args.get_int("timeout-ms", 5000));
+  options.timeout_ms =
+      static_cast<int>(args.get_count("timeout-ms", 5000, kIntMax));
   options.register_timeout_ms =
-      static_cast<int>(args.get_int("register-timeout-ms", 10000));
+      static_cast<int>(args.get_count("register-timeout-ms", 10000, kIntMax));
   options.sim.seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
   options.sim.failure_rate = args.get_double("sim-failure-rate", 0.0);
   options.sim.latency_ms =
-      static_cast<int>(args.get_int("sim-latency-ms", 0));
+      static_cast<int>(args.get_count("sim-latency-ms", 0, kIntMax));
   options.sim.slow_factor = args.get_double("sim-slow-factor", 1.0);
-  warn_unused(args);
+  reject_unused(args);
 
   const dist::WorkerOutcome outcome = dist::run_worker(options);
   if (outcome.completed) {
@@ -1232,20 +1249,21 @@ void render_top_frame(const serve::json::Value& body, const std::string& host,
 
 int cmd_top(const Args& args) {
   const std::string host = args.get_or("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int("port", 0));
+  const auto port =
+      static_cast<std::uint16_t>(args.get_count("port", 0, kPortMax));
   if (port == 0) {
     throw std::invalid_argument("top: --port is required");
   }
   const double interval_s = args.get_double("interval", 2.0);
-  const auto iterations = args.get_int("iterations", 0);  // 0 = forever
+  const auto iterations = args.get_count("iterations", 0);  // 0 = forever
   const bool no_clear = args.has("no-clear");
-  warn_unused(args);
+  reject_unused(args);
 
   serve::json::Object request;
   request.add("op", "stats");
   const std::string request_json = request.str();
 
-  for (std::int64_t i = 0; iterations == 0 || i < iterations; ++i) {
+  for (std::uint64_t i = 0; iterations == 0 || i < iterations; ++i) {
     if (i > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(
           interval_s > 0.0 ? interval_s : 0.0));

@@ -9,6 +9,7 @@
 #include "algo/stats.hpp"
 #include "algo/trend.hpp"
 #include "core/schemas.hpp"
+#include "obs/obs.hpp"
 
 namespace ivt::core {
 
@@ -64,7 +65,8 @@ std::string format_number(double v) {
 }
 
 std::string outlier_text(double v) {
-  return "outlier v=" + format_number(v);
+  // A NaN prints as "nan" whatever its sign bit.
+  return "outlier v=" + (std::isnan(v) ? std::string("nan") : format_number(v));
 }
 
 }  // namespace
@@ -112,88 +114,114 @@ dataflow::Table process_alpha(const ConstraintContext& context,
     }
   }
 
-  // outlier(): split the numeric part into outliers and remainder.
-  std::vector<double> values;
-  values.reserve(num_idx.size());
-  for (std::size_t i : num_idx) values.push_back(d.v_num[i]);
-  const std::vector<std::uint8_t> mask =
-      algo::detect_outliers(values, config.outlier);
-
-  // Contiguous clean runs: an outlier acts as a segmentation boundary, so
-  // a fresh state element follows every merged-back outlier (paper
-  // Table 4: "outlier v = 800" at 22 s, "(high,steady)" again at 23 s).
+  // outlier(): split the numeric part into outliers and remainder. A
+  // non-finite value (a decoded IEEE float can be NaN or ±inf) is an
+  // outlier by definition: it never enters the Hampel window, the
+  // normalization statistics, smoothing or SWAB.
+  //
+  // Each kernel runs over every clean run in turn, under one span per
+  // kernel and sequence (a span per run would wrap the trace rings).
   std::vector<std::vector<std::size_t>> clean_runs(1);
   std::vector<double> all_clean_values;
-  for (std::size_t k = 0; k < num_idx.size(); ++k) {
-    if (mask[k] != 0) {
-      OutElement e;
-      e.t = d.t[num_idx[k]];
-      e.v_num = values[k];
-      e.value = outlier_text(values[k]);
-      e.kind = kElementOutlier;
-      out.push_back(std::move(e));
-      if (stats != nullptr) ++stats->outliers;
-      if (!clean_runs.back().empty()) clean_runs.emplace_back();
-    } else {
-      clean_runs.back().push_back(num_idx[k]);
-      all_clean_values.push_back(values[k]);
+  {
+    OBS_SPAN("branch.alpha.outliers");
+    std::vector<double> values;
+    values.reserve(num_idx.size());
+    for (std::size_t i : num_idx) {
+      if (std::isfinite(d.v_num[i])) values.push_back(d.v_num[i]);
     }
+    const std::vector<std::uint8_t> mask =
+        algo::detect_outliers(values, config.outlier);
+
+    // Contiguous clean runs: an outlier acts as a segmentation boundary,
+    // so a fresh state element follows every merged-back outlier (paper
+    // Table 4: "outlier v = 800" at 22 s, "(high,steady)" again at 23 s).
+    std::size_t finite = 0;
+    for (std::size_t i : num_idx) {
+      const double v = d.v_num[i];
+      if (!std::isfinite(v) || mask[finite++] != 0) {
+        OutElement e;
+        e.t = d.t[i];
+        e.v_num = v;
+        e.value = outlier_text(v);
+        e.kind = kElementOutlier;
+        out.push_back(std::move(e));
+        if (stats != nullptr) ++stats->outliers;
+        if (!clean_runs.back().empty()) clean_runs.emplace_back();
+      } else {
+        clean_runs.back().push_back(i);
+        all_clean_values.push_back(v);
+      }
+    }
+    if (clean_runs.back().empty()) clean_runs.pop_back();
   }
 
   // Normalization statistics span the whole cleaned sequence so symbols
   // are comparable across runs.
   const double sd = algo::stddev(all_clean_values);
   const double mu = algo::mean(all_clean_values);
-  const std::vector<double> breakpoints =
-      algo::sax_breakpoints(config.sax_alphabet);
-  const double slope_threshold =
-      config.steady_slope_fraction * (sd > 0.0 ? sd : 1.0);
 
-  for (const std::vector<std::size_t>& clean_idx : clean_runs) {
-    if (clean_idx.empty()) continue;
+  // Smoothing, then SWAB segmentation over (t seconds, value).
+  std::vector<std::vector<double>> smoothed(clean_runs.size());
+  {
+    OBS_SPAN("branch.alpha.smoothing");
     std::vector<double> clean_values;
-    clean_values.reserve(clean_idx.size());
-    for (std::size_t i : clean_idx) clean_values.push_back(d.v_num[i]);
-
-    // Smoothing, then SWAB segmentation over (t seconds, value).
-    const std::vector<double> smoothed =
-        algo::moving_average(clean_values, config.smoothing_half_window);
-    std::vector<double> ts;
-    ts.reserve(clean_idx.size());
-    const std::int64_t t0 = d.t[clean_idx.front()];
-    for (std::size_t i : clean_idx) {
-      ts.push_back(static_cast<double>(d.t[i] - t0) / 1e9);
+    for (std::size_t r = 0; r < clean_runs.size(); ++r) {
+      clean_values.clear();
+      for (std::size_t i : clean_runs[r]) clean_values.push_back(d.v_num[i]);
+      smoothed[r] =
+          algo::moving_average(clean_values, config.smoothing_half_window);
     }
+  }
+  std::vector<std::vector<algo::Segment>> segments(clean_runs.size());
+  {
+    OBS_SPAN("branch.alpha.swab");
     algo::SegmentationConfig seg_config;
     seg_config.max_error =
         std::max(config.swab_error_scale * sd * sd, 1e-12);
     seg_config.buffer_size = config.swab_buffer;
-    const std::vector<algo::Segment> segments =
-        algo::swab_segment(ts, smoothed, seg_config);
-
-    // Symbolization: SAX symbol of the segment's mean level (z-normalized
-    // against the whole cleaned sequence) + the segment trend.
-    for (const algo::Segment& seg : segments) {
-      double seg_mean = 0.0;
-      for (std::size_t k = seg.start; k < seg.end; ++k) {
-        seg_mean += smoothed[k];
+    std::vector<double> ts;
+    for (std::size_t r = 0; r < clean_runs.size(); ++r) {
+      const std::int64_t t0 = d.t[clean_runs[r].front()];
+      ts.clear();
+      for (std::size_t i : clean_runs[r]) {
+        ts.push_back(static_cast<double>(d.t[i] - t0) / 1e9);
       }
-      seg_mean /= static_cast<double>(seg.length());
-      const double z = sd > 0.0 ? (seg_mean - mu) / sd : 0.0;
-      const char symbol = algo::sax_symbol(z, breakpoints);
-      const algo::Trend trend =
-          algo::classify_slope(seg.fit.slope, slope_threshold);
-      OutElement e;
-      e.t = d.t[clean_idx[seg.start]];
-      e.v_num = seg_mean;
-      e.value = "(" +
-                sax_level_name(static_cast<std::size_t>(symbol - 'a'),
-                               config.sax_alphabet) +
-                "," + std::string(algo::to_string(trend)) + ")";
-      out.push_back(std::move(e));
-      if (stats != nullptr) {
-        ++stats->segments;
-        ++stats->states;
+      segments[r] = algo::swab_segment(ts, smoothed[r], seg_config);
+    }
+  }
+
+  // Symbolization: SAX symbol of the segment's mean level (z-normalized
+  // against the whole cleaned sequence) + the segment trend.
+  {
+    OBS_SPAN("branch.alpha.sax");
+    const std::vector<double> breakpoints =
+        algo::sax_breakpoints(config.sax_alphabet);
+    const double slope_threshold =
+        config.steady_slope_fraction * (sd > 0.0 ? sd : 1.0);
+    for (std::size_t r = 0; r < clean_runs.size(); ++r) {
+      for (const algo::Segment& seg : segments[r]) {
+        double seg_mean = 0.0;
+        for (std::size_t k = seg.start; k < seg.end; ++k) {
+          seg_mean += smoothed[r][k];
+        }
+        seg_mean /= static_cast<double>(seg.length());
+        const double z = sd > 0.0 ? (seg_mean - mu) / sd : 0.0;
+        const char symbol = algo::sax_symbol(z, breakpoints);
+        const algo::Trend trend =
+            algo::classify_slope(seg.fit.slope, slope_threshold);
+        OutElement e;
+        e.t = d.t[clean_runs[r][seg.start]];
+        e.v_num = seg_mean;
+        e.value = "(" +
+                  sax_level_name(static_cast<std::size_t>(symbol - 'a'),
+                                 config.sax_alphabet) +
+                  "," + std::string(algo::to_string(trend)) + ")";
+        out.push_back(std::move(e));
+        if (stats != nullptr) {
+          ++stats->segments;
+          ++stats->states;
+        }
       }
     }
   }

@@ -58,6 +58,48 @@ TEST(ArgsTest, BadNumberThrows) {
   EXPECT_THROW((void)args.get_double("f", 0), std::invalid_argument);
 }
 
+TEST(ArgsTest, NumbersMustParseWhole) {
+  struct Case {
+    const char* value;
+    bool number_ok;  ///< get_double accepts it
+    bool int_ok;     ///< get_int accepts it
+    bool count_ok;   ///< get_count (max 100) accepts it
+  };
+  const Case cases[] = {
+      {"42", true, true, true},     {"0", true, true, true},
+      {"100", true, true, true},    {"101", true, true, false},
+      {"-1", true, true, false},    {"-0.5", true, false, false},
+      {"0.1x", false, false, false}, {"1e3", true, false, false},
+      {"12 ", false, false, false}, {"", false, false, false},
+      {"abc", false, false, false}, {"7,", false, false, false},
+      {"99999999999999999999", true, false, false},
+  };
+  for (const Case& c : cases) {
+    const Args args = parse({"--k", c.value});
+    if (c.number_ok) {
+      EXPECT_NO_THROW((void)args.get_double("k", 0)) << "'" << c.value << "'";
+    } else {
+      EXPECT_THROW((void)args.get_double("k", 0), std::invalid_argument)
+          << "'" << c.value << "'";
+    }
+    if (c.int_ok) {
+      EXPECT_NO_THROW((void)args.get_int("k", 0)) << "'" << c.value << "'";
+    } else {
+      EXPECT_THROW((void)args.get_int("k", 0), std::invalid_argument)
+          << "'" << c.value << "'";
+    }
+    if (c.count_ok) {
+      EXPECT_NO_THROW((void)args.get_count("k", 0, 100))
+          << "'" << c.value << "'";
+    } else {
+      EXPECT_THROW((void)args.get_count("k", 0, 100), std::invalid_argument)
+          << "'" << c.value << "'";
+    }
+  }
+  EXPECT_EQ(parse({}).get_count("k", 7), 7U);
+  EXPECT_EQ(parse({"--k", "12"}).get_count("k", 7), 12U);
+}
+
 TEST(ArgsTest, ListParsing) {
   const Args args = parse({"--signals", "a,b,c"});
   EXPECT_EQ(args.get_list("signals"),

@@ -116,10 +116,9 @@ TEST_F(CliTest, PackThenInspectColumnar) {
                  ivc.c_str(), "--chunk-rows", "64"}),
             0);
   EXPECT_TRUE(std::ifstream(ivc).good());
-  // inspect dispatches on the file magic and dumps the zone maps.
-  EXPECT_EQ(run({"inspect", "--trace", ivc.c_str(), "--catalog",
-                 catalog_path().c_str()}),
-            0);
+  // inspect dispatches on the file magic and dumps the zone maps; the
+  // columnar dump takes no catalog.
+  EXPECT_EQ(run({"inspect", "--trace", ivc.c_str()}), 0);
 }
 
 TEST_F(CliTest, ExtractFromColumnarMatchesRowContainer) {
@@ -187,6 +186,42 @@ TEST_F(CliTest, MissingInputFileIsFormatError) {
   EXPECT_EQ(rc, 1);
   EXPECT_TRUE(out.empty());
   EXPECT_NE(err.find("error"), std::string::npos);
+}
+
+TEST_F(CliTest, BadOptionsAreUsageErrorsBeforeAnyWork) {
+  // Unknown options and malformed or out-of-range numbers exit 2, and the
+  // command does no work: the run below would write its state table.
+  const std::string trace = trace_path();
+  const std::string catalog = catalog_path();
+  const std::string state = ::testing::TempDir() + "/cli_bad_opts_state.csv";
+  struct Case {
+    const char* option;
+    const char* value;  ///< nullptr: a bare flag
+  };
+  const Case cases[] = {
+      {"--no-state", nullptr},        {"--stat", "x.csv"},
+      {"--rate-threshold", "5hz"},    {"--rate-threshold", ""},
+      {"--sim-nodes", "-1"},          {"--sim-nodes", "4x"},
+      {"--ranges", "-3"},             {"--workers", "-2"},
+      {"--sim-failure-rate", "0.1x"}, {"--sim-latency-ms", "99999999999"},
+      {"--seed", "1.5"},
+  };
+  for (const Case& c : cases) {
+    std::remove(state.c_str());
+    std::vector<const char*> argv{"ivt",     "run",         "--trace",
+                                  trace.c_str(), "--catalog", catalog.c_str(),
+                                  "--state", state.c_str(), c.option};
+    if (c.value != nullptr) argv.push_back(c.value);
+    EXPECT_EQ(run_cli(static_cast<int>(argv.size()), argv.data()), 2)
+        << c.option << " " << (c.value != nullptr ? c.value : "");
+    EXPECT_FALSE(std::ifstream(state).good()) << c.option;
+  }
+  EXPECT_EQ(run({"simulate", "--dataset", "SYN", "--scale", "0.1x"}), 2);
+  EXPECT_EQ(run({"simulate", "--dataset", "SYN", "--journeys", "-1"}), 2);
+  EXPECT_EQ(run({"pack", "--trace", trace.c_str(), "--out",
+                 "/tmp/cli_bad.ivc", "--chunk-rows", "-5"}),
+            2);
+  EXPECT_EQ(run({"catalog", "--file", catalog.c_str(), "--verbose"}), 2);
 }
 
 TEST_F(CliTest, HelpSucceeds) {

@@ -70,6 +70,66 @@ TEST(BranchAlphaTest, OutlierIsolatedAndMergedBack) {
   EXPECT_TRUE(found);
 }
 
+TEST(BranchAlphaTest, NonFiniteValuesAreOutliersAndStayOutOfTheKernels) {
+  // A ramp with NaN, +inf and -inf inside. Each is an outlier; it never
+  // enters the Hampel window, the statistics, smoothing or SWAB, and it
+  // splits the clean runs as a Hampel outlier does. So the output is the
+  // one where each is a spike Hampel flags, except the outliers' text.
+  const std::vector<std::size_t> at{20, 45, 61};
+  const double special[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  SequenceData nonfinite;
+  SequenceData spiked;
+  for (SequenceData* d : {&nonfinite, &spiked}) {
+    d->s_id = "speed";
+    d->bus = "FC";
+    for (int i = 0; i < 80; ++i) {
+      d->t.push_back(i * 10 * kMs);
+      d->v_num.push_back(0.5 * static_cast<double>(i));
+      d->has_num.push_back(1);
+      d->v_str.emplace_back();
+      d->has_str.push_back(0);
+    }
+  }
+  for (std::size_t k = 0; k < at.size(); ++k) {
+    nonfinite.v_num[at[k]] = special[k];
+    spiked.v_num[at[k]] = 1e9;
+  }
+  BranchStats stats;
+  const auto out = process_alpha({nonfinite, nullptr}, BranchConfig{}, &stats);
+  const auto want = process_alpha({spiked, nullptr}, BranchConfig{});
+  EXPECT_EQ(stats.outliers, 3u);
+  EXPECT_GE(stats.segments, 4u);  // at least one per clean run
+  ASSERT_EQ(out.num_rows(), want.num_rows());
+  const std::size_t value_col = out.schema().require("value");
+  const std::size_t kind_col = out.schema().require("element_kind");
+  const std::size_t num_col = out.schema().require("v_num");
+  std::vector<std::string> got_rows;
+  std::vector<std::string> want_rows;
+  std::vector<std::string> outliers;
+  out.for_each_row([&](const dataflow::RowView& row) {
+    if (row.string_at(kind_col) == kElementOutlier) {
+      outliers.push_back(std::to_string(row.int64_at(0)) + " " +
+                         row.string_at(value_col));
+      return;
+    }
+    EXPECT_TRUE(std::isfinite(row.float64_at(num_col)));
+    got_rows.push_back(std::to_string(row.int64_at(0)) + " " +
+                       row.string_at(value_col) + " " +
+                       std::to_string(row.float64_at(num_col)));
+  });
+  want.for_each_row([&](const dataflow::RowView& row) {
+    if (row.string_at(kind_col) == kElementOutlier) return;
+    want_rows.push_back(std::to_string(row.int64_at(0)) + " " +
+                        row.string_at(value_col) + " " +
+                        std::to_string(row.float64_at(num_col)));
+  });
+  EXPECT_EQ(got_rows, want_rows);
+  EXPECT_EQ(outliers, (std::vector<std::string>{
+                          std::to_string(200 * kMs) + " outlier v=nan",
+                          std::to_string(450 * kMs) + " outlier v=inf",
+                          std::to_string(610 * kMs) + " outlier v=-inf"}));
+}
+
 TEST(BranchAlphaTest, SegmentsCompressTheSequence) {
   const SequenceData d = ramp_with_outlier();
   BranchConfig config;
