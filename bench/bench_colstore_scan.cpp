@@ -21,6 +21,8 @@
 #include "colstore/chunk_cursor.hpp"
 #include "colstore/columnar_reader.hpp"
 #include "colstore/columnar_writer.hpp"
+#include "core/partials.hpp"
+#include "core/pipeline.hpp"
 #include "dataflow/ops.hpp"
 #include "simnet/datasets.hpp"
 #include "tracefile/binary_format.hpp"
@@ -36,6 +38,7 @@ struct Workload {
   std::string ivc_path;
   std::vector<std::int64_t> message_ids;  ///< distinct, ascending
   std::size_t num_records = 0;
+  signaldb::Catalog catalog;
 
   Workload() {
     simnet::DatasetConfig config;
@@ -43,6 +46,7 @@ struct Workload {
     config.seed = 42;
     const simnet::Dataset dataset = simnet::make_lig_dataset(config);
     num_records = dataset.trace.size();
+    catalog = dataset.catalog;
 
     const char* tmp = std::getenv("TMPDIR");
     const std::string dir = tmp != nullptr ? tmp : "/tmp";
@@ -209,9 +213,8 @@ void BM_IvcCursorStream(benchmark::State& state) {
 BENCHMARK(BM_IvcCursorStream)->Arg(5)->Arg(10)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
-/// The compressed cursor path — what --exec streaming --scan compressed
-/// runs per morsel, including the EmittedRun bookkeeping the dictionary
-/// join consumes.
+/// The compressed cursor path, rendered to K_b partitions (the batch
+/// scan's per-chunk work under --scan compressed).
 void BM_IvcCursorStreamCompressed(benchmark::State& state) {
   const std::int64_t percent = state.range(0);
   colstore::ScanPredicate pred;
@@ -224,9 +227,8 @@ void BM_IvcCursorStreamCompressed(benchmark::State& state) {
   for (auto _ : state) {
     const colstore::ChunkCursor cursor = reader.cursor(pred, options);
     std::size_t kept = 0;
-    std::vector<colstore::EmittedRun> runs;
     for (std::size_t k = 0; k < cursor.num_morsels(); ++k) {
-      const dataflow::Partition morsel = cursor.decode(k, runs);
+      const dataflow::Partition morsel = cursor.decode(k);
       kept += morsel.num_rows();
       benchmark::DoNotOptimize(morsel);
     }
@@ -240,6 +242,38 @@ void BM_IvcCursorStreamCompressed(benchmark::State& state) {
 }
 BENCHMARK(BM_IvcCursorStreamCompressed)->Arg(5)->Arg(10)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);
+
+/// The streaming / dist per-morsel kernel: MorselProcessor::process over
+/// every morsel of the file — select, interpret and bucket into per-signal
+/// sequences — with every catalog signal in U_comb. Arg 0 = decoded scan,
+/// 1 = compressed. Items are K_b rows (every record of the file).
+void BM_MorselProcess(benchmark::State& state) {
+  const bool compressed = state.range(0) != 0;
+  const colstore::ColumnarReader reader(workload().ivc_path);
+  core::PipelineConfig config;
+  config.scan_mode = compressed ? colstore::ScanMode::Compressed
+                                : colstore::ScanMode::Decoded;
+  const core::Pipeline pipeline(workload().catalog, std::move(config));
+  const core::MorselProcessor processor(reader, pipeline.urel(),
+                                        pipeline.config(), nullptr);
+  std::size_t ks_rows = 0;
+  bench::Stopwatch watch;
+  for (auto _ : state) {
+    ks_rows = 0;
+    for (std::size_t k = 0; k < processor.num_morsels(); ++k) {
+      const core::MorselPartial partial = processor.process(k);
+      ks_rows += partial.ks_rows;
+      benchmark::DoNotOptimize(partial);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(reader.num_rows()));
+  state.counters["ks_rows"] = static_cast<double>(ks_rows);
+  emit_result(compressed ? "morsel_process_compressed" : "morsel_process",
+              100, watch.seconds() / static_cast<double>(state.iterations()),
+              ks_rows, reader.num_rows());
+}
+BENCHMARK(BM_MorselProcess)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Columnar path including file open + footer parse each iteration (the
 /// cold-start cost a per-journey batch job pays).

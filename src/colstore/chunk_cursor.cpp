@@ -54,59 +54,47 @@ std::size_t ChunkCursor::morsel_row_count(std::size_t k) const {
   return reader_->chunk(survivors_[k]).row_count;
 }
 
-dataflow::Partition ChunkCursor::decode_unchecked(
-    std::size_t k, std::vector<EmittedRun>* runs) const {
-  OBS_SPAN_V(chunk_span, "colstore.decode_chunk");
-  FAULT_POINT("colstore.decode_chunk");
-  const ChunkInfo& info = reader_->chunk(survivors_[k]);
-  chunk_span.set_bytes(info.encoded_bytes);
-  chunk_span.set_rows(info.row_count);
-  const std::vector<std::string>& buses = reader_->bus_names();
-  dataflow::Partition out;
-  if (compressed_) {
-    ScanStats local;
-    out = detail::scan_chunk_compressed(reader_->buffer(), info, buses,
-                                        reader_->key_dict(), key_allowed_,
-                                        compiled_, local, runs);
-    runs_considered_.fetch_add(local.runs_considered,
-                               std::memory_order_relaxed);
-    runs_pruned_.fetch_add(local.runs_pruned, std::memory_order_relaxed);
-    runs_accepted_.fetch_add(local.runs_accepted, std::memory_order_relaxed);
-    OBS_COUNT("colstore.runs_pruned", local.runs_pruned);
-    OBS_COUNT("colstore.runs_accepted", local.runs_accepted);
-  } else {
-    const detail::DecodedChunk chunk = detail::decode_columns(
-        reader_->buffer(), info, reader_->version(), buses.size(),
-        reader_->key_dict());
-    out = detail::materialize_kb_partition(chunk, info.row_count, buses,
-                                           compiled_);
-    OBS_COUNT("colstore.runs_decoded", 1);
-  }
-  rows_emitted_.fetch_add(out.num_rows(), std::memory_order_relaxed);
-  return out;
-}
-
-dataflow::Partition ChunkCursor::decode(std::size_t k) const {
-  std::vector<EmittedRun> unused;
-  return decode(k, unused);
-}
-
-dataflow::Partition ChunkCursor::decode(std::size_t k,
-                                        std::vector<EmittedRun>& runs) const {
-  runs.clear();
+template <typename Sink>
+bool ChunkCursor::fill(std::size_t k, Sink& sink) const {
   const std::size_t chunk_index = survivors_[k];
   const ChunkInfo& info = reader_->chunk(chunk_index);
+  const auto walk = [&] {
+    OBS_SPAN_V(chunk_span, "colstore.decode_chunk");
+    FAULT_POINT("colstore.decode_chunk");
+    chunk_span.set_bytes(info.encoded_bytes);
+    chunk_span.set_rows(info.row_count);
+    if (compressed_) {
+      ScanStats local;
+      detail::select_compressed(reader_->buffer(), info,
+                                reader_->bus_names().size(),
+                                reader_->key_dict(), key_allowed_, compiled_,
+                                local, sink);
+      runs_considered_.fetch_add(local.runs_considered,
+                                 std::memory_order_relaxed);
+      runs_pruned_.fetch_add(local.runs_pruned, std::memory_order_relaxed);
+      runs_accepted_.fetch_add(local.runs_accepted,
+                               std::memory_order_relaxed);
+      OBS_COUNT("colstore.runs_pruned", local.runs_pruned);
+      OBS_COUNT("colstore.runs_accepted", local.runs_accepted);
+    } else {
+      const detail::DecodedChunk chunk = detail::decode_columns(
+          reader_->buffer(), info, reader_->version(),
+          reader_->bus_names().size(), reader_->key_dict());
+      detail::select_decoded(chunk, info.row_count, compiled_, sink);
+      OBS_COUNT("colstore.runs_decoded", 1);
+    }
+    rows_emitted_.fetch_add(sink.size(), std::memory_order_relaxed);
+  };
   if (options_.on_error == errors::ErrorPolicy::Fail) {
-    dataflow::Partition out;
     errors::with_context("decoding chunk " + std::to_string(chunk_index) +
                              " @ offset " + std::to_string(info.offset),
-                         [&] { out = decode_unchecked(k, &runs); });
-    return out;
+                         walk);
+    return true;
   }
   try {
-    return decode_unchecked(k, &runs);
+    walk();
+    return true;
   } catch (const errors::Error& e) {
-    runs.clear();  // a partially filled run list must not outlive the drop
     if (e.severity() == errors::Severity::Fatal) throw;
     // Skip/Quarantine: drop the chunk and resync to the next one. The
     // chunk directory gives every neighbour's extent, so a corrupt body
@@ -122,8 +110,23 @@ dataflow::Partition ChunkCursor::decode(std::size_t k,
               std::to_string(info.row_count) + " rows)",
           e);
     }
+    return false;
+  }
+}
+
+ChunkSelection ChunkCursor::select(std::size_t k) const {
+  ChunkSelection out;
+  detail::SelectionSink sink(out);
+  if (!fill(k, sink)) return ChunkSelection{};
+  return out;
+}
+
+dataflow::Partition ChunkCursor::decode(std::size_t k) const {
+  detail::KbPartitionSink sink(reader_->bus_names());
+  if (!fill(k, sink)) {
     return dataflow::Table::make_partition(tracefile::kb_schema());
   }
+  return sink.take();
 }
 
 ScanStats ChunkCursor::stats() const {

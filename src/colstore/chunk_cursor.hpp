@@ -3,24 +3,26 @@
 //
 // A cursor is created by ColumnarReader::cursor(pred, options): zone-map
 // pruning runs once up front, and each surviving chunk becomes one
-// *morsel* that the caller decodes on demand — typically as one fused
+// *morsel* that the caller selects on demand — typically as one fused
 // pipeline task per morsel — instead of materializing the whole K_b table
-// before downstream stages start. decode(k) applies the same compiled
-// row filter and the same error policy (Fail / Skip / Quarantine with
-// resync at the next chunk boundary) as scan(), and in fact scan() is
-// implemented on top of this class, so the two paths cannot drift.
+// before downstream stages start. Both accessors run the same selection
+// walk under the same error policy (Fail / Skip / Quarantine with resync
+// at the next chunk boundary): select(k) hands the surviving rows over as
+// a ChunkSelection (the streaming kernel's input), decode(k) renders them
+// as a K_b partition, and scan() is implemented on top of decode(), so
+// the paths cannot drift.
 //
 // Ordering contract: morsel k corresponds to the k-th surviving chunk in
-// file order, and decode(k) emits that chunk's rows in file order. A
-// consumer that keeps per-morsel results indexed by k therefore
+// file order, and select(k) / decode(k) keep that chunk's rows in file
+// order. A consumer that keeps per-morsel results indexed by k therefore
 // reconstructs exactly the partition order of scan().
 //
-// Thread safety: decode() may be called concurrently for distinct k; all
-// mutable state on this class is the relaxed-atomic quarantine/row
-// counters below (no mutex, hence no IVT_GUARDED_BY contract to state),
-// and the FailureLog behind ScanOptions locks internally. Everything else
-// is written once in the constructor and read-only afterwards. The reader
-// must outlive the cursor.
+// Thread safety: select() and decode() may be called concurrently for
+// distinct k; all mutable state on this class is the relaxed-atomic
+// quarantine/row counters below (no mutex, hence no IVT_GUARDED_BY
+// contract to state), and the FailureLog behind ScanOptions locks
+// internally. Everything else is written once in the constructor and
+// read-only afterwards. The reader must outlive the cursor.
 #pragma once
 
 #include <atomic>
@@ -49,23 +51,20 @@ class ChunkCursor {
   /// from the chunk directory, no decode).
   [[nodiscard]] std::size_t morsel_row_count(std::size_t k) const;
 
-  /// Decode morsel k into a filtered K_b partition. Under ErrorPolicy::Fail
-  /// a decode error propagates (with chunk context); under Skip/Quarantine
-  /// the chunk is dropped — an empty partition is returned, the quarantine
+  /// Select morsel k: the rows passing the compiled row filter, as
+  /// column vectors (see ChunkSelection). Under ErrorPolicy::Fail a decode
+  /// error propagates (with chunk context); under Skip/Quarantine the
+  /// chunk is dropped — an empty selection is returned, the quarantine
   /// counters advance, and the failure is logged — so one corrupt chunk
   /// costs exactly its own rows.
+  [[nodiscard]] ChunkSelection select(std::size_t k) const;
+
+  /// Morsel k rendered as a filtered K_b partition: the rows select(k)
+  /// keeps, under the same error policy, rendered straight from the
+  /// decoded columns without an intermediate selection.
   [[nodiscard]] dataflow::Partition decode(std::size_t k) const;
 
-  /// Same, additionally reporting the accepted key runs of the partition
-  /// (output-row coordinates) when this cursor evaluates compressed:
-  /// downstream interpretation joins per run via the key dictionary
-  /// instead of per row via a string hash. `runs` is left empty on the
-  /// decoded path (v1 file or ScanMode::Decoded) — callers fall back to
-  /// the row-wise join.
-  [[nodiscard]] dataflow::Partition decode(
-      std::size_t k, std::vector<EmittedRun>& runs) const;
-
-  /// True when decode() evaluates run-level (ScanMode::Compressed on a
+  /// True when select() evaluates run-level (ScanMode::Compressed on a
   /// version >= 2 file); false means every morsel takes the decoded path.
   [[nodiscard]] bool compressed() const { return compressed_; }
 
@@ -78,8 +77,12 @@ class ChunkCursor {
   ChunkCursor(const ColumnarReader& reader, const ScanPredicate& pred,
               ScanOptions options);
 
-  dataflow::Partition decode_unchecked(std::size_t k,
-                                       std::vector<EmittedRun>* runs) const;
+  /// Runs morsel k's selection walk into `sink` (decode span, fault
+  /// site, row and run counters) under the error policy. False when
+  /// Skip/Quarantine dropped the chunk; the sink's partial rows are then
+  /// to be discarded.
+  template <typename Sink>
+  bool fill(std::size_t k, Sink& sink) const;
 
   const ColumnarReader* reader_;
   ScanOptions options_;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "colstore/encoding.hpp"
 #include "colstore/format.hpp"
 #include "dataflow/table.hpp"
+#include "tracefile/trace.hpp"
 
 namespace ivt::colstore::detail {
 
@@ -74,12 +76,94 @@ DecodedChunk decode_columns(const std::string& data, const ChunkInfo& info,
                             std::uint32_t version, std::size_t num_buses,
                             const std::vector<KeyDictEntry>& key_dict);
 
-/// Materialize decoded columns into a K_b-schema partition, applying the
-/// compiled row filter. Shared by ChunkCursor::decode (file-buffer path)
-/// and decode_chunk_from_bytes (cache path) so the two cannot drift.
-dataflow::Partition materialize_kb_partition(
-    const DecodedChunk& chunk, std::uint32_t row_count,
-    const std::vector<std::string>& buses, const CompiledPredicate& compiled);
+/// Receivers of the rows a scan path selects, in file order. The two
+/// selection walks below make every row decision; a sink only stores what
+/// passes. Interface: begin(payload block, max rows, keyed) once, then
+/// add(...) per selected row; `key` is meaningful when keyed (v2 file),
+/// `bus` / `message_id` always.
+///
+/// SelectionSink fills the ChunkSelection the morsel kernel interprets.
+class SelectionSink {
+ public:
+  explicit SelectionSink(ChunkSelection& out) : out_(out) {}
+  void begin(std::span<const std::uint8_t> payload, std::size_t max_rows,
+             bool keyed) {
+    out_.payload = payload;
+    keyed_ = keyed;
+    out_.t_ns.reserve(max_rows);
+    out_.protocol.reserve(max_rows);
+    out_.flags.reserve(max_rows);
+    out_.payload_begin.reserve(max_rows);
+    out_.payload_len.reserve(max_rows);
+    if (keyed) {
+      out_.key.reserve(max_rows);
+    } else {
+      out_.bus.reserve(max_rows);
+      out_.message_id.reserve(max_rows);
+    }
+  }
+  void add(std::int64_t t, std::uint8_t protocol, std::uint32_t flags,
+           std::uint32_t payload_begin, std::uint32_t payload_len,
+           std::uint32_t key, std::uint16_t bus, std::int64_t message_id) {
+    out_.t_ns.push_back(t);
+    out_.protocol.push_back(protocol);
+    out_.flags.push_back(flags);
+    out_.payload_begin.push_back(payload_begin);
+    out_.payload_len.push_back(payload_len);
+    if (keyed_) {
+      out_.key.push_back(key);
+    } else {
+      out_.bus.push_back(bus);
+      out_.message_id.push_back(message_id);
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return out_.size(); }
+
+ private:
+  ChunkSelection& out_;
+  bool keyed_ = false;
+};
+
+/// KbPartitionSink renders each selected row straight into a K_b-schema
+/// partition: the one K_b renderer behind the batch scan,
+/// ChunkCursor::decode and scan_chunk_from_bytes. No intermediate
+/// selection is built on that path.
+class KbPartitionSink {
+ public:
+  explicit KbPartitionSink(const std::vector<std::string>& buses);
+  void begin(std::span<const std::uint8_t> payload,
+             std::size_t /*max_rows*/, bool /*keyed*/) {
+    payload_ = payload;
+  }
+  void add(std::int64_t t, std::uint8_t protocol, std::uint32_t flags,
+           std::uint32_t payload_begin, std::uint32_t payload_len,
+           std::uint32_t /*key*/, std::uint16_t bus,
+           std::int64_t message_id) {
+    out_.columns[0].append_int64(t);
+    out_.columns[1].append_string(std::string(
+        reinterpret_cast<const char*>(payload_.data()) + payload_begin,
+        payload_len));
+    out_.columns[2].append_string((*buses_)[bus]);
+    out_.columns[3].append_int64(message_id);
+    out_.columns[4].append_string(tracefile::make_m_info(
+        static_cast<protocol::Protocol>(protocol), flags));
+  }
+  [[nodiscard]] std::size_t size() const { return out_.num_rows(); }
+  [[nodiscard]] dataflow::Partition take() { return std::move(out_); }
+
+ private:
+  const std::vector<std::string>* buses_;
+  std::span<const std::uint8_t> payload_;
+  dataflow::Partition out_;
+};
+
+/// The decoded-path selection: the rows of `chunk` that pass the compiled
+/// row filter, handed to `sink`. Shared by ChunkCursor (file-buffer path)
+/// and scan_chunk_from_bytes (cache path) so the two cannot drift.
+/// Instantiated for SelectionSink and KbPartitionSink.
+template <typename Sink>
+void select_decoded(const DecodedChunk& chunk, std::uint32_t row_count,
+                    const CompiledPredicate& compiled, Sink& sink);
 
 /// Dictionary form of the predicate's run-constant conjuncts: entry k is
 /// nonzero when (key_dict[k].bus_index, key_dict[k].message_id) passes the
@@ -92,18 +176,17 @@ std::vector<std::uint8_t> compile_key_filter(
 /// The compressed (run-level) evaluation of one v2 chunk: walk the
 /// key_idx RLE runs, skip rejected runs by advancing the column cursors
 /// (the bus and message-id blocks are never decoded at all — both values
-/// come from the dictionary), and materialize accepted runs row by row
-/// with only the time-range check left to apply. Emits exactly the rows,
-/// in exactly the order, of decode_columns + materialize_kb_partition
-/// under the same predicate. `stats` receives the run counters; `runs`
-/// (optional) receives the accepted runs in output-row coordinates for
-/// the dictionary join.
-dataflow::Partition scan_chunk_compressed(
-    const std::string& data, const ChunkInfo& info,
-    const std::vector<std::string>& buses,
-    const std::vector<KeyDictEntry>& key_dict,
-    const std::vector<std::uint8_t>& key_allowed,
-    const CompiledPredicate& compiled, ScanStats& stats,
-    std::vector<EmittedRun>* runs);
+/// come from the dictionary), and select accepted runs row by row with
+/// only the time-range check left to apply. Hands `sink` exactly the rows,
+/// in exactly the order, of decode_columns + select_decoded under the
+/// same predicate. `stats` receives the run counters. Instantiated for
+/// SelectionSink and KbPartitionSink.
+template <typename Sink>
+void select_compressed(const std::string& data, const ChunkInfo& info,
+                       std::size_t num_buses,
+                       const std::vector<KeyDictEntry>& key_dict,
+                       const std::vector<std::uint8_t>& key_allowed,
+                       const CompiledPredicate& compiled, ScanStats& stats,
+                       Sink& sink);
 
 }  // namespace ivt::colstore::detail

@@ -341,32 +341,41 @@ DecodedChunk decode_columns(const std::string& data, const ChunkInfo& info,
   return chunk;
 }
 
-dataflow::Partition materialize_kb_partition(
-    const DecodedChunk& chunk, std::uint32_t row_count,
-    const std::vector<std::string>& buses,
-    const CompiledPredicate& compiled) {
-  const dataflow::Schema& schema = tracefile::kb_schema();
-  dataflow::Partition out = dataflow::Table::make_partition(schema);
-  std::size_t payload_pos = 0;
+template <typename Sink>
+void select_decoded(const DecodedChunk& chunk, std::uint32_t row_count,
+                    const CompiledPredicate& compiled, Sink& sink) {
+  const bool keyed = !chunk.key_idx.empty();
+  sink.begin(
+      std::span<const std::uint8_t>(chunk.payload.data, chunk.payload.size),
+      row_count, keyed);
+  std::uint32_t payload_pos = 0;
   for (std::uint32_t r = 0; r < row_count; ++r) {
-    const std::size_t len = static_cast<std::size_t>(chunk.payload_len[r]);
-    const std::size_t pos = payload_pos;
+    const auto len = static_cast<std::uint32_t>(chunk.payload_len[r]);
+    const std::uint32_t pos = payload_pos;
     payload_pos += len;
     const auto bus = static_cast<std::uint16_t>(chunk.bus_idx[r]);
     if (!compiled.matches_row(bus, chunk.message_id[r], chunk.t_ns[r])) {
       continue;
     }
-    out.columns[0].append_int64(chunk.t_ns[r]);
-    out.columns[1].append_string(std::string(
-        reinterpret_cast<const char*>(chunk.payload.data) + pos, len));
-    out.columns[2].append_string(buses[bus]);
-    out.columns[3].append_int64(chunk.message_id[r]);
-    out.columns[4].append_string(tracefile::make_m_info(
-        static_cast<protocol::Protocol>(chunk.protocol[r]),
-        static_cast<std::uint32_t>(chunk.flags[r])));
+    sink.add(chunk.t_ns[r], static_cast<std::uint8_t>(chunk.protocol[r]),
+             static_cast<std::uint32_t>(chunk.flags[r]), pos, len,
+             keyed ? static_cast<std::uint32_t>(chunk.key_idx[r]) : 0, bus,
+             chunk.message_id[r]);
   }
-  return out;
 }
+
+template void select_decoded<SelectionSink>(const DecodedChunk&,
+                                            std::uint32_t,
+                                            const CompiledPredicate&,
+                                            SelectionSink&);
+template void select_decoded<KbPartitionSink>(const DecodedChunk&,
+                                              std::uint32_t,
+                                              const CompiledPredicate&,
+                                              KbPartitionSink&);
+
+KbPartitionSink::KbPartitionSink(const std::vector<std::string>& buses)
+    : buses_(&buses),
+      out_(dataflow::Table::make_partition(tracefile::kb_schema())) {}
 
 }  // namespace detail
 
@@ -390,24 +399,24 @@ dataflow::Partition scan_chunk_from_bytes(
   if (compiled.never_matches) {
     return dataflow::Table::make_partition(tracefile::kb_schema());
   }
+  detail::KbPartitionSink sink(buses);
   if (mode == ScanMode::Compressed && version >= 2) {
     ScanStats local;
-    dataflow::Partition out = detail::scan_chunk_compressed(
-        chunk_bytes, rebased, buses, key_dict,
-        detail::compile_key_filter(compiled, key_dict), compiled, local,
-        nullptr);
+    detail::select_compressed(chunk_bytes, rebased, buses.size(), key_dict,
+                              detail::compile_key_filter(compiled, key_dict),
+                              compiled, local, sink);
     if (stats != nullptr) {
       stats->runs_considered += local.runs_considered;
       stats->runs_pruned += local.runs_pruned;
       stats->runs_accepted += local.runs_accepted;
     }
-    return out;
+    return sink.take();
   }
   const detail::DecodedChunk chunk =
       detail::decode_columns(chunk_bytes, rebased, version, buses.size(),
                              key_dict);
-  return detail::materialize_kb_partition(chunk, info.row_count, buses,
-                                          compiled);
+  detail::select_decoded(chunk, info.row_count, compiled, sink);
+  return sink.take();
 }
 
 dataflow::Partition decode_chunk_from_bytes(

@@ -12,15 +12,16 @@
 //   - a rejected run is skipped whole: the timestamp cursor carries the
 //     running delta sum across it, the payload cursor sums the lengths,
 //     and the protocol/flags RLE cursors advance in O(runs crossed);
-//   - an accepted run materializes rows with only the time-range check
-//     left to apply, and both join-key columns (bus, message id) come
-//     from the dictionary — the bus_index and message_id blocks of the
-//     chunk are never decoded at all.
+//   - an accepted run selects rows with only the time-range check left
+//     to apply, and both join-key columns (bus, message id) come from
+//     the dictionary — the bus_index and message_id blocks of the chunk
+//     are never decoded at all.
 //
 // Output contract: exactly the rows, in exactly the order, with exactly
-// the bytes, of the decoded path under the same predicate. The property
-// and differential suites pin this.
+// the bytes, of the decoded path under the same predicate, into either
+// sink. The property and differential suites pin this.
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,6 @@
 #include "colstore/encoding.hpp"
 #include "colstore/format.hpp"
 #include "errors/error.hpp"
-#include "tracefile/binary_format.hpp"
 
 namespace ivt::colstore::detail {
 
@@ -68,13 +68,13 @@ std::vector<std::uint8_t> compile_key_filter(
   return allowed;
 }
 
-dataflow::Partition scan_chunk_compressed(
-    const std::string& data, const ChunkInfo& info,
-    const std::vector<std::string>& buses,
-    const std::vector<KeyDictEntry>& key_dict,
-    const std::vector<std::uint8_t>& key_allowed,
-    const CompiledPredicate& compiled, ScanStats& stats,
-    std::vector<EmittedRun>* runs) {
+template <typename Sink>
+void select_compressed(const std::string& data, const ChunkInfo& info,
+                       std::size_t num_buses,
+                       const std::vector<KeyDictEntry>& key_dict,
+                       const std::vector<std::uint8_t>& key_allowed,
+                       const CompiledPredicate& compiled, ScanStats& stats,
+                       Sink& sink) {
   ByteCursor in(ByteSpan{
       reinterpret_cast<const std::uint8_t*>(data.data()) + info.offset,
       static_cast<std::size_t>(info.encoded_bytes)});
@@ -95,14 +95,14 @@ dataflow::Partition scan_chunk_compressed(
   const ByteSpan payload = next_block();
   const ByteSpan key_block = next_block();
 
-  dataflow::Partition out =
-      dataflow::Table::make_partition(tracefile::kb_schema());
+  sink.begin(std::span<const std::uint8_t>(payload.data, payload.size), rows,
+             true);
   if (rows == 0) {
     if (payload.size != 0) {
       IVT_THROW(errors::Category::Decode,
                 "ivc: payload block size mismatch");
     }
-    return out;
+    return;
   }
   if (key_dict.empty()) {
     IVT_THROW(errors::Category::Decode, "ivc: key index out of range");
@@ -137,12 +137,10 @@ dataflow::Partition scan_chunk_compressed(
     } else {
       ++stats.runs_accepted;
       const KeyDictEntry& dict = key_dict[static_cast<std::size_t>(key)];
-      if (dict.bus_index >= buses.size()) {
+      if (dict.bus_index >= num_buses) {
         IVT_THROW(errors::Category::Decode,
                   "ivc: key dictionary bus index out of range");
       }
-      const std::string& bus_name = buses[dict.bus_index];
-      const std::size_t first_out = out.num_rows();
       for (std::size_t i = 0; i < run; ++i) {
         t_prev += static_cast<std::uint64_t>(get_svarint(t_cur));
         const std::int64_t t = static_cast<std::int64_t>(t_prev);
@@ -159,20 +157,12 @@ dataflow::Partition scan_chunk_compressed(
             (t < compiled.min_t_ns || t > compiled.max_t_ns)) {
           continue;
         }
-        out.columns[0].append_int64(t);
-        out.columns[1].append_string(std::string(
-            reinterpret_cast<const char*>(payload.data) + pos,
-            static_cast<std::size_t>(len)));
-        out.columns[2].append_string(bus_name);
-        out.columns[3].append_int64(dict.message_id);
-        out.columns[4].append_string(tracefile::make_m_info(
-            static_cast<protocol::Protocol>(protocol),
-            static_cast<std::uint32_t>(flag)));
-      }
-      const std::size_t emitted = out.num_rows() - first_out;
-      if (runs != nullptr && emitted > 0) {
-        runs->push_back(EmittedRun{static_cast<std::uint32_t>(key),
-                                   first_out, emitted});
+        sink.add(t, static_cast<std::uint8_t>(protocol),
+                 static_cast<std::uint32_t>(flag),
+                 static_cast<std::uint32_t>(pos),
+                 static_cast<std::uint32_t>(len),
+                 static_cast<std::uint32_t>(key), dict.bus_index,
+                 dict.message_id);
       }
     }
     rows_done += run;
@@ -180,7 +170,15 @@ dataflow::Partition scan_chunk_compressed(
   if (payload_pos != payload.size) {
     IVT_THROW(errors::Category::Decode, "ivc: payload block size mismatch");
   }
-  return out;
 }
+
+template void select_compressed<SelectionSink>(
+    const std::string&, const ChunkInfo&, std::size_t,
+    const std::vector<KeyDictEntry>&, const std::vector<std::uint8_t>&,
+    const CompiledPredicate&, ScanStats&, SelectionSink&);
+template void select_compressed<KbPartitionSink>(
+    const std::string&, const ChunkInfo&, std::size_t,
+    const std::vector<KeyDictEntry>&, const std::vector<std::uint8_t>&,
+    const CompiledPredicate&, ScanStats&, KbPartitionSink&);
 
 }  // namespace ivt::colstore::detail

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -158,15 +159,37 @@ struct ScanOptions {
   ScanMode mode = ScanMode::Decoded;
 };
 
-/// One accepted key run of a compressed chunk scan, in output (partition)
-/// row coordinates: rows [row_begin, row_begin + row_count) of the emitted
-/// partition all carry dictionary key `key`. The interpretation join uses
-/// this to probe the broadcast side once per run (array index) instead of
-/// once per row (string hash).
-struct EmittedRun {
-  std::uint32_t key = 0;
-  std::size_t row_begin = 0;
-  std::size_t row_count = 0;
+/// One morsel's surviving rows, column by column, before anything is
+/// rendered (ChunkCursor::select). The decoded path fills it from the
+/// decoded column vectors and the compiled row filter, the compressed path
+/// from the accepted key runs; both fill it identically, through the same
+/// row decisions that feed ChunkCursor::decode's K_b partition. The
+/// streaming kernel interprets straight from it.
+///
+/// Every vector is indexed by selected row (file order within the chunk).
+/// `payload` views the chunk's payload block inside the caller's buffer,
+/// so a selection must not outlive the reader (or chunk bytes) it came
+/// from.
+struct ChunkSelection {
+  std::vector<std::int64_t> t_ns;
+  std::vector<std::uint8_t> protocol;
+  std::vector<std::uint32_t> flags;
+  std::vector<std::uint32_t> payload_begin;  ///< offset into `payload`
+  std::vector<std::uint32_t> payload_len;
+  /// Join-key dictionary index of each row (v2 files); empty on v1.
+  std::vector<std::uint32_t> key;
+  /// Bus dictionary index and message id of each row — v1 files only (a
+  /// v2 row carries both in its dictionary key).
+  std::vector<std::uint16_t> bus;
+  std::vector<std::int64_t> message_id;
+  std::span<const std::uint8_t> payload;
+
+  [[nodiscard]] std::size_t size() const { return t_ns.size(); }
+  [[nodiscard]] bool keyed() const { return !key.empty(); }
+  [[nodiscard]] std::span<const std::uint8_t> payload_of(
+      std::size_t i) const {
+    return payload.subspan(payload_begin[i], payload_len[i]);
+  }
 };
 
 }  // namespace ivt::colstore

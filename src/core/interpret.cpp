@@ -1,8 +1,12 @@
 #include "core/interpret.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/schemas.hpp"
 #include "core/urel.hpp"
@@ -124,25 +128,6 @@ Table preselect(Engine& engine, const colstore::ColumnarReader& reader,
 
 namespace {
 
-/// One translation tuple, decoded out of the U_rel table for the fused
-/// probe (broadcast side of the join).
-struct BroadcastSpec {
-  std::string s_id;
-  std::uint16_t start_bit;
-  std::uint16_t length;
-  protocol::ByteOrder order;
-  signaldb::ValueKind value_kind;
-  double scale;
-  double offset;
-  bool categorical;
-  bool presence_always;
-  std::uint16_t presence_start;
-  std::uint16_t presence_length;
-  protocol::ByteOrder presence_order;
-  std::uint64_t presence_equals;
-  const signaldb::SignalSpec* spec = nullptr;  ///< label lookup (may be null)
-};
-
 std::unordered_map<std::string, std::vector<BroadcastSpec>>
 broadcast_urel(const Table& urel, const signaldb::Catalog* catalog) {
   const auto specs = broadcast_specs(catalog);
@@ -190,58 +175,71 @@ broadcast_urel(const Table& urel, const signaldb::Catalog* catalog) {
 
 }  // namespace
 
+bool decode_signal(const BroadcastSpec& bs,
+                   std::span<const std::uint8_t> payload, double& value,
+                   std::string& label) {
+  if (!bs.presence_always) {
+    if (!protocol::bit_field_fits(payload.size(), bs.presence_start,
+                                  bs.presence_length, bs.presence_order)) {
+      return false;
+    }
+    const std::uint64_t selector = protocol::extract_bits(
+        payload, bs.presence_start, bs.presence_length, bs.presence_order);
+    if (selector != bs.presence_equals) return false;
+  }
+  if (!protocol::bit_field_fits(payload.size(), bs.start_bit, bs.length,
+                                bs.order)) {
+    return false;
+  }
+  const std::uint64_t raw =
+      protocol::extract_bits(payload, bs.start_bit, bs.length, bs.order);
+  double raw_value = 0.0;
+  switch (bs.value_kind) {
+    case signaldb::ValueKind::Unsigned:
+      raw_value = static_cast<double>(raw);
+      break;
+    case signaldb::ValueKind::Signed:
+      raw_value = static_cast<double>(protocol::sign_extend(raw, bs.length));
+      break;
+    case signaldb::ValueKind::Float32:
+      raw_value = static_cast<double>(
+          protocol::raw_to_float32(static_cast<std::uint32_t>(raw)));
+      break;
+    case signaldb::ValueKind::Float64:
+      raw_value = protocol::raw_to_float64(raw);
+      break;
+  }
+  value = bs.scale * raw_value + bs.offset;
+  if (bs.categorical) {
+    const signaldb::ValueTableEntry* entry =
+        bs.spec != nullptr ? bs.spec->find_label(raw) : nullptr;
+    if (entry != nullptr) {
+      label = entry->label;
+    } else {
+      label = "raw:" + std::to_string(raw);
+    }
+  }
+  return true;
+}
+
 namespace {
 
-/// The shared per-row emission body of the fused kernel (u1 + u2 on one
-/// already-joined row). Both interpret_partition (row-wise hash probe)
-/// and interpret_runs (run-level dictionary join) funnel through this,
-/// so the two join strategies cannot drift in what they emit.
+/// The per-row emission body of the fused kernel (u1 + u2 on one
+/// already-joined row), decoding through the shared decode_signal.
 void emit_signals(const std::vector<BroadcastSpec>& specs, std::int64_t t,
                   const std::string& payload, const std::string& bus,
                   Partition& out) {
   const auto span = std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
+  double value = 0.0;
+  std::string label;
   for (const BroadcastSpec& bs : specs) {
-    if (!bs.presence_always) {
-      if (!protocol::bit_field_fits(span.size(), bs.presence_start,
-                                    bs.presence_length, bs.presence_order)) {
-        continue;
-      }
-      const std::uint64_t selector = protocol::extract_bits(
-          span, bs.presence_start, bs.presence_length, bs.presence_order);
-      if (selector != bs.presence_equals) continue;
-    }
-    if (!protocol::bit_field_fits(span.size(), bs.start_bit, bs.length,
-                                  bs.order)) {
-      continue;
-    }
-    const std::uint64_t raw =
-        protocol::extract_bits(span, bs.start_bit, bs.length, bs.order);
-    double raw_value = 0.0;
-    switch (bs.value_kind) {
-      case signaldb::ValueKind::Unsigned:
-        raw_value = static_cast<double>(raw);
-        break;
-      case signaldb::ValueKind::Signed:
-        raw_value =
-            static_cast<double>(protocol::sign_extend(raw, bs.length));
-        break;
-      case signaldb::ValueKind::Float32:
-        raw_value = static_cast<double>(
-            protocol::raw_to_float32(static_cast<std::uint32_t>(raw)));
-        break;
-      case signaldb::ValueKind::Float64:
-        raw_value = protocol::raw_to_float64(raw);
-        break;
-    }
+    if (!decode_signal(bs, span, value, label)) continue;
     out.columns[0].append_int64(t);
     out.columns[1].append_string(bs.s_id);
-    out.columns[2].append_float64(bs.scale * raw_value + bs.offset);
+    out.columns[2].append_float64(value);
     if (bs.categorical) {
-      const signaldb::ValueTableEntry* entry =
-          bs.spec != nullptr ? bs.spec->find_label(raw) : nullptr;
-      out.columns[3].append_string(
-          entry != nullptr ? entry->label : "raw:" + std::to_string(raw));
+      out.columns[3].append_string(std::move(label));
     } else {
       out.columns[3].append_null();
     }
@@ -249,10 +247,23 @@ void emit_signals(const std::vector<BroadcastSpec>& specs, std::int64_t t,
   }
 }
 
-bool is_error_frame(const RowView& row, std::size_t info_col) {
-  const tracefile::MInfo info =
-      tracefile::parse_m_info(row.string_at(info_col));
-  return (info.flags & tracefile::TraceRecord::kFlagErrorFrame) != 0;
+/// The error-frame bit of an m_info cell ("<protocol>:<flags>"). Only the
+/// flags field is parsed: a corrupt row may carry a protocol byte without
+/// a name ("unknown:<flags>"), and the streaming morsel kernel, which
+/// tests the flags column directly, must reach the same verdict on it.
+bool is_error_frame(std::string_view m_info) {
+  const std::size_t colon = m_info.rfind(':');
+  std::uint32_t flags = 0;
+  const char* end = m_info.data() + m_info.size();
+  const auto [ptr, ec] =
+      colon == std::string_view::npos
+          ? std::from_chars_result{end, std::errc::invalid_argument}
+          : std::from_chars(m_info.data() + colon + 1, end, flags);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("bad m_info cell: '" + std::string(m_info) +
+                                "'");
+  }
+  return (flags & tracefile::TraceRecord::kFlagErrorFrame) != 0;
 }
 
 }  // namespace
@@ -260,13 +271,6 @@ bool is_error_frame(const RowView& row, std::size_t info_col) {
 struct InterpretKernel::Impl {
   std::unordered_map<std::string, std::vector<BroadcastSpec>> broadcast;
   bool skip_error_frames = false;
-};
-
-/// Array-indexed form of the broadcast map for one file's key dictionary.
-/// Buckets point into Impl::broadcast, so the kernel must outlive it.
-class InterpretKernel::KeyTable {
- public:
-  std::vector<const std::vector<BroadcastSpec>*> buckets;
 };
 
 InterpretKernel::InterpretKernel(const Table& urel,
@@ -295,48 +299,17 @@ void InterpretKernel::interpret_partition(const Partition& in,
     const auto it = broadcast.find(row.string_at(b_col) + '\x1F' +
                                    std::to_string(row.int64_at(m_col)));
     if (it == broadcast.end()) continue;
-    if (skip_errors && is_error_frame(row, info_col)) continue;
+    if (skip_errors && is_error_frame(row.string_at(info_col))) continue;
     emit_signals(it->second, row.int64_at(t_col), row.string_at(l_col),
                  row.string_at(b_col), out);
   }
 }
 
-std::shared_ptr<const InterpretKernel::KeyTable> InterpretKernel::prepare_keys(
-    const std::vector<colstore::KeyDictEntry>& key_dict,
-    const std::vector<std::string>& buses) const {
-  auto table = std::make_shared<KeyTable>();
-  table->buckets.resize(key_dict.size(), nullptr);
-  for (std::size_t k = 0; k < key_dict.size(); ++k) {
-    const colstore::KeyDictEntry& key = key_dict[k];
-    if (key.bus_index >= buses.size()) continue;  // reader validated; belt
-    const auto it = impl_->broadcast.find(
-        buses[key.bus_index] + '\x1F' + std::to_string(key.message_id));
-    if (it != impl_->broadcast.end()) table->buckets[k] = &it->second;
-  }
-  return table;
-}
-
-void InterpretKernel::interpret_runs(
-    const Partition& in, const Schema& in_schema,
-    const std::vector<colstore::EmittedRun>& runs,
-    const KeyTable& table, Partition& out) const {
-  const std::size_t t_col = in_schema.require("t");
-  const std::size_t l_col = in_schema.require("l");
-  const std::size_t b_col = in_schema.require("b_id");
-  const std::size_t info_col = in_schema.require("m_info");
-  const bool skip_errors = impl_->skip_error_frames;
-
-  for (const colstore::EmittedRun& run : runs) {
-    const std::vector<BroadcastSpec>* bucket =
-        run.key < table.buckets.size() ? table.buckets[run.key] : nullptr;
-    if (bucket == nullptr) continue;  // whole run has no U_comb match
-    for (std::size_t i = 0; i < run.row_count; ++i) {
-      const RowView row(&in_schema, &in, run.row_begin + i);
-      if (skip_errors && is_error_frame(row, info_col)) continue;
-      emit_signals(*bucket, row.int64_at(t_col), row.string_at(l_col),
-                   row.string_at(b_col), out);
-    }
-  }
+const std::vector<BroadcastSpec>* InterpretKernel::specs_for(
+    const std::string& bus, std::int64_t message_id) const {
+  const auto it =
+      impl_->broadcast.find(bus + '\x1F' + std::to_string(message_id));
+  return it != impl_->broadcast.end() ? &it->second : nullptr;
 }
 
 namespace {
@@ -416,12 +389,8 @@ Table interpret(Engine& engine, const Table& kpre, const Table& urel,
       engine, joined, ks_schema(),
       [cols, &specs, skip_errors, two_stage, lrel_col](const RowView& row,
                                                        Partition& out) {
-        if (skip_errors) {
-          const tracefile::MInfo info =
-              tracefile::parse_m_info(row.string_at(cols.m_info));
-          if ((info.flags & tracefile::TraceRecord::kFlagErrorFrame) != 0) {
-            return;
-          }
+        if (skip_errors && is_error_frame(row.string_at(cols.m_info))) {
+          return;
         }
         const std::string& payload = row.string_at(cols.l);
         const auto span = std::span<const std::uint8_t>(

@@ -11,12 +11,16 @@
 // yielding the signal-instance table K_s.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "colstore/columnar_reader.hpp"
 #include "dataflow/engine.hpp"
 #include "dataflow/table.hpp"
+#include "protocol/bitcodec.hpp"
 #include "signaldb/catalog.hpp"
 
 namespace ivt::core {
@@ -67,11 +71,42 @@ dataflow::Table preselect(dataflow::Engine& engine,
 /// both must prune and row-filter identically.
 colstore::ScanPredicate urel_scan_predicate(const dataflow::Table& urel);
 
+/// One translation tuple of U_comb, decoded out of the U_rel table for the
+/// fused probe (the broadcast side of the join).
+struct BroadcastSpec {
+  std::string s_id;
+  std::uint16_t start_bit = 0;
+  std::uint16_t length = 0;
+  protocol::ByteOrder order = protocol::ByteOrder::Intel;
+  signaldb::ValueKind value_kind = signaldb::ValueKind::Unsigned;
+  double scale = 1.0;
+  double offset = 0.0;
+  bool categorical = false;
+  bool presence_always = true;
+  std::uint16_t presence_start = 0;
+  std::uint16_t presence_length = 0;
+  protocol::ByteOrder presence_order = protocol::ByteOrder::Intel;
+  std::uint64_t presence_equals = 0;
+  const signaldb::SignalSpec* spec = nullptr;  ///< label lookup (may be null)
+};
+
+/// u1 + u2 of one translation tuple on one payload (Algorithm 1 lines
+/// 5–6): the presence selector, the bit field, the value kind and
+/// scale·raw + offset into `value`; for a categorical tuple also the
+/// value-table label, or "raw:<n>" without one, into `label` (left alone
+/// otherwise). False when the selector rejects the payload or a field
+/// does not fit it. The batch interpret stage and the streaming morsel
+/// kernel both decode through this, so their values are bit-identical.
+bool decode_signal(const BroadcastSpec& bs,
+                   std::span<const std::uint8_t> payload, double& value,
+                   std::string& label);
+
 /// Reusable fused interpretation kernel (join probe + u1 + u2 of
 /// Algorithm 1 lines 4–6): the broadcast U_comb map is built once, then
-/// interpret_partition() turns any K_pre partition into K_s rows. Both the
-/// batch interpret() stage and the streaming morsel path run through this
-/// class, so the two execution modes cannot drift semantically.
+/// interpret_partition() turns any K_pre partition into K_s rows. The
+/// batch interpret() stage runs through this class; the streaming morsel
+/// path (core::MorselProcessor) resolves its per-file slot table through
+/// specs_for() and decodes with the same decode_signal.
 class InterpretKernel {
  public:
   /// Build the broadcast side from U_comb. `urel` and the catalog in
@@ -84,35 +119,15 @@ class InterpretKernel {
 
   /// Interpret every row of the K_pre partition `in` (schema `in_schema`,
   /// K_b layout), appending the resulting signal instances to the
-  /// ks_schema() partition `out` in row order. Const and thread-safe:
-  /// morsel tasks call this concurrently.
+  /// ks_schema() partition `out` in row order. Const and thread-safe.
   void interpret_partition(const dataflow::Partition& in,
                            const dataflow::Schema& in_schema,
                            dataflow::Partition& out) const;
 
-  /// The U_comb join resolved against one file's key dictionary: entry k
-  /// is the broadcast bucket of key_dict[k] (null when that (bus, id) has
-  /// no translation tuples). Computed once per file; the compressed
-  /// execution path then joins each accepted key run by array index
-  /// instead of re-hashing "bus\x1F<id>" per row.
-  class KeyTable;
-
-  /// Build the per-file key table. One broadcast-map probe per dictionary
-  /// entry, not per row. Thread-safe; the kernel must outlive the table.
-  [[nodiscard]] std::shared_ptr<const KeyTable> prepare_keys(
-      const std::vector<colstore::KeyDictEntry>& key_dict,
-      const std::vector<std::string>& buses) const;
-
-  /// interpret_partition for a compressed-scanned partition: `runs` are
-  /// the accepted key runs (output-row coordinates) the scan emitted, and
-  /// every row of `in` must be covered by them. Joins run-level through
-  /// `table`; emits exactly what interpret_partition would on the same
-  /// rows. Const and thread-safe.
-  void interpret_runs(const dataflow::Partition& in,
-                      const dataflow::Schema& in_schema,
-                      const std::vector<colstore::EmittedRun>& runs,
-                      const KeyTable& table,
-                      dataflow::Partition& out) const;
+  /// The translation tuples of one (bus, message id) in U_rel order, or
+  /// null when U_comb has none. The pointee lives as long as the kernel.
+  [[nodiscard]] const std::vector<BroadcastSpec>* specs_for(
+      const std::string& bus, std::int64_t message_id) const;
 
  private:
   struct Impl;

@@ -1,7 +1,7 @@
 // Morsel partials: the shared per-chunk unit of work and the order-stable
 // merge that both streaming and distributed execution are built from.
 //
-// PR 4's streaming mode established the contract: morsel k is the k-th
+// The streaming mode established the contract: morsel k is the k-th
 // zone-map-surviving .ivc chunk in file order; fusing decode → preselect
 // → interpret → bucket per morsel and merging the per-key segments sorted
 // by (morsel, first-row) reconstructs exactly the batch split — so K_s,
@@ -21,9 +21,11 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "colstore/chunk_cursor.hpp"
@@ -79,9 +81,11 @@ SplitDataResult merge_split_segments(KeyedSegments&& keyed,
 
 /// The fused decode → preselect → interpret → bucket stage for one
 /// morsel, shared by streaming tasks (in-process) and dist workers
-/// (remote). Construction compiles the pushdown predicate and the
-/// interpret kernel once; process(k) is safe to call concurrently for
-/// distinct k (the cursor's contract).
+/// (remote). No K_b or K_s partition is built on the way: the cursor's
+/// ChunkSelection is interpreted row by row through a per-file slot table
+/// straight into per-(s_id, bus) SequenceData buckets. Construction
+/// compiles the pushdown predicate and the slot table once; process(k) is
+/// safe to call concurrently for distinct k (the cursor's contract).
 class MorselProcessor {
  public:
   /// The reader, urel and config must outlive the processor. Scan-level
@@ -95,8 +99,12 @@ class MorselProcessor {
     return cursor_.num_morsels();
   }
 
-  /// Decode + preselect + interpret + bucket morsel k. When `keep_ks` is
-  /// non-null it receives the interpreted K_s partition (inspection mode).
+  /// Select + interpret + bucket morsel k. Segments come out in bucket
+  /// first-appearance order, each tagged with the morsel-local K_s row of
+  /// its first instance — exactly what interpret_partition followed by
+  /// bucket_split_partition yields on cursor.decode(k). When `keep_ks` is
+  /// non-null it receives the morsel's K_s partition in row order, rebuilt
+  /// from the buckets (inspection mode).
   [[nodiscard]] MorselPartial process(
       std::size_t k, dataflow::Partition* keep_ks = nullptr) const;
 
@@ -105,11 +113,49 @@ class MorselProcessor {
   [[nodiscard]] colstore::ScanStats stats() const { return cursor_.stats(); }
 
  private:
+  /// One translation tuple of a slot, with the dense id of the
+  /// (s_id, bus) bucket its instances land in.
+  struct SlotSpec {
+    const BroadcastSpec* spec = nullptr;
+    std::uint32_t bucket = 0;
+  };
+  /// One bucket: the split key and the sequence identity, built once per
+  /// file and copied once per morsel that touches the bucket.
+  struct Bucket {
+    std::string key;  ///< split_bucket_key(s_id, bus)
+    std::string s_id;
+    std::string bus;
+  };
+  struct PairHash {
+    std::size_t operator()(
+        const std::pair<std::uint16_t, std::int64_t>& p) const {
+      return std::hash<std::int64_t>{}(p.second) * 8191 + p.first;
+    }
+  };
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// Slot of selected row i: the key-dictionary index on v2 files, the
+  /// (bus index, message id) pair on v1 files. kNoSlot when U_comb has no
+  /// translation tuple for the row's message.
+  [[nodiscard]] std::uint32_t slot_of(const colstore::ChunkSelection& sel,
+                                      std::size_t i) const;
+  /// Append the slot of (bus, message id); kNoSlot when U_comb has none.
+  std::uint32_t add_slot(std::uint16_t bus, std::int64_t message_id,
+                         const std::vector<std::string>& buses,
+                         std::unordered_map<std::string, std::uint32_t>&
+                             bucket_ids);
+
   colstore::ChunkCursor cursor_;
   InterpretKernel kernel_;
-  /// Per-file dictionary join for the compressed path (null when the
-  /// cursor decodes; see InterpretKernel::prepare_keys).
-  std::shared_ptr<const InterpretKernel::KeyTable> key_table_;
+  bool skip_error_frames_ = false;
+  std::vector<std::vector<SlotSpec>> slots_;
+  /// v2: key-dictionary index -> slot.
+  std::vector<std::uint32_t> slot_of_key_;
+  /// v1: (bus index, message id) -> slot.
+  std::unordered_map<std::pair<std::uint16_t, std::int64_t>, std::uint32_t,
+                     PairHash>
+      slot_of_pair_;
+  std::vector<Bucket> buckets_;
 };
 
 }  // namespace ivt::core

@@ -3,15 +3,17 @@
 // The batch path materializes the full K_b scan, then runs preselect /
 // interpret / split as separate engine stages with a barrier between
 // each. Here the same work is re-fused per chunk: every surviving .ivc
-// chunk becomes one morsel task that decodes, row-filters against U_comb
-// (preselection), interprets to K_s rows and buckets them into
-// hash-sharded split accumulators — so no K_b or K_s table ever
-// materializes, and bounded task admission caps how many decoded morsels
-// exist at once.
+// chunk becomes one morsel task that selects the rows matching U_comb
+// (preselection), interprets them and buckets the instances straight
+// into per-signal sequences, appended to hash-sharded split accumulators
+// — so no K_b or K_s table ever materializes, and bounded task admission
+// caps how many decoded morsels exist at once.
 //
 // Equivalence with batch is by construction, not by luck:
 //  * the per-morsel compute is the shared core::MorselProcessor (compiled
-//    pushdown predicate + InterpretKernel + bucket_split_partition),
+//    pushdown predicate + per-file slot table + the decode_signal the
+//    batch interpret stage also uses; tests/core/morsel_kernel_test pins
+//    it against interpret_partition + bucket_split_partition per morsel),
 //  * morsel index k == batch partition index k (chunk order), and the
 //    shared core::merge_split_segments reconstructs exactly the batch
 //    split's concatenation and first-appearance orders from the

@@ -394,6 +394,12 @@ serve::Frame Coordinator::handle_result(const json::Value& body,
       static_cast<std::uint64_t>(body.get_int("chunks_quarantined", 0));
   counters.rows_quarantined =
       static_cast<std::uint64_t>(body.get_int("rows_quarantined", 0));
+  counters.runs_considered =
+      static_cast<std::uint64_t>(body.get_int("runs_considered", 0));
+  counters.runs_pruned =
+      static_cast<std::uint64_t>(body.get_int("runs_pruned", 0));
+  counters.runs_accepted =
+      static_cast<std::uint64_t>(body.get_int("runs_accepted", 0));
   std::vector<errors::FailureRecord> failures =
       failures_from_wire(body, "failures");
 
@@ -577,6 +583,9 @@ core::PipelineResult Coordinator::wait_result(dataflow::Engine& engine,
         totals.chunks_scanned += c.chunks_scanned;
         totals.chunks_quarantined += c.chunks_quarantined;
         totals.rows_quarantined += c.rows_quarantined;
+        totals.runs_considered += c.runs_considered;
+        totals.runs_pruned += c.runs_pruned;
+        totals.runs_accepted += c.runs_accepted;
       }
     }
     dist_stats = stats_;
@@ -611,6 +620,9 @@ core::PipelineResult Coordinator::wait_result(dataflow::Engine& engine,
     s.chunks_quarantined =
         static_cast<std::size_t>(totals.chunks_quarantined);
     s.rows_quarantined = static_cast<std::size_t>(totals.rows_quarantined);
+    s.runs_considered = static_cast<std::size_t>(totals.runs_considered);
+    s.runs_pruned = static_cast<std::size_t>(totals.runs_pruned);
+    s.runs_accepted = static_cast<std::size_t>(totals.runs_accepted);
     *stats = s;
   }
   return result;

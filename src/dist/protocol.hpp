@@ -92,6 +92,10 @@ struct RangeCounters {
   std::uint64_t chunks_scanned = 0;
   std::uint64_t chunks_quarantined = 0;
   std::uint64_t rows_quarantined = 0;
+  /// Compressed-scan run accounting (zero under the decoded scan).
+  std::uint64_t runs_considered = 0;
+  std::uint64_t runs_pruned = 0;
+  std::uint64_t runs_accepted = 0;
 };
 
 /// Render / parse the failures array carried inside dist.result bodies.

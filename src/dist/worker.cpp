@@ -304,6 +304,10 @@ RangeResult process_range(LocalJob& local, const TaskAssignment& task,
       after.chunks_quarantined - before.chunks_quarantined;
   out.counters.rows_quarantined =
       after.rows_quarantined - before.rows_quarantined;
+  out.counters.runs_considered =
+      after.runs_considered - before.runs_considered;
+  out.counters.runs_pruned = after.runs_pruned - before.runs_pruned;
+  out.counters.runs_accepted = after.runs_accepted - before.runs_accepted;
   for (const core::MorselPartial& p : out.partials) {
     out.counters.kpre_rows += p.kpre_rows;
     out.counters.ks_rows += p.ks_rows;
@@ -334,6 +338,9 @@ std::string result_body(const Registration& reg, const TaskAssignment& task,
       .add("chunks_scanned", result.counters.chunks_scanned)
       .add("chunks_quarantined", result.counters.chunks_quarantined)
       .add("rows_quarantined", result.counters.rows_quarantined)
+      .add("runs_considered", result.counters.runs_considered)
+      .add("runs_pruned", result.counters.runs_pruned)
+      .add("runs_accepted", result.counters.runs_accepted)
       .raw("failures", failures_to_wire(result.failures))
       .str();
 }

@@ -2,6 +2,7 @@
 
 #include "errors/error.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -19,6 +20,12 @@ std::uint16_t motorola_next(std::uint16_t bit) {
   return static_cast<std::uint16_t>(bit - 1);
 }
 
+/// Position of Motorola bit `bit` in the big-endian bit stream (byte
+/// order, MSB first): motorola_next advances it by exactly one.
+std::size_t motorola_linear(std::uint16_t bit) {
+  return static_cast<std::size_t>(bit / 8) * 8 + (7 - bit % 8);
+}
+
 void check_fits(std::size_t payload_size, std::uint16_t start_bit,
                 std::uint16_t length, ByteOrder order) {
   if (!bit_field_fits(payload_size, start_bit, length, order)) {
@@ -34,17 +41,11 @@ void check_fits(std::size_t payload_size, std::uint16_t start_bit,
 bool bit_field_fits(std::size_t payload_size, std::uint16_t start_bit,
                     std::uint16_t length, ByteOrder order) {
   if (length == 0 || length > 64) return false;
-  const std::size_t total_bits = payload_size * 8;
   if (order == ByteOrder::Intel) {
-    return static_cast<std::size_t>(start_bit) + length <= total_bits;
+    return static_cast<std::size_t>(start_bit) + length <= payload_size * 8;
   }
-  // Motorola: walk the layout.
-  std::uint16_t bit = start_bit;
-  for (std::uint16_t i = 0; i < length; ++i) {
-    if (bit >= total_bits) return false;
-    if (i + 1 < length) bit = motorola_next(bit);
-  }
-  return true;
+  const std::size_t first = motorola_linear(start_bit);
+  return (first + length - 1) / 8 < payload_size;
 }
 
 std::uint64_t extract_bits(std::span<const std::uint8_t> payload,
@@ -52,21 +53,33 @@ std::uint64_t extract_bits(std::span<const std::uint8_t> payload,
                            ByteOrder order) {
   check_fits(payload.size(), start_bit, length, order);
   std::uint64_t value = 0;
+  unsigned remaining = length;
   if (order == ByteOrder::Intel) {
-    for (std::uint16_t i = 0; i < length; ++i) {
-      const std::uint16_t bit = static_cast<std::uint16_t>(start_bit + i);
-      const std::uint8_t b =
-          (payload[bit / 8] >> (bit % 8)) & std::uint8_t{1};
-      value |= static_cast<std::uint64_t>(b) << i;
+    std::size_t bit = start_bit;
+    unsigned filled = 0;
+    while (remaining > 0) {
+      const unsigned offset = static_cast<unsigned>(bit % 8);
+      const unsigned take = std::min(8U - offset, remaining);
+      const unsigned chunk =
+          (static_cast<unsigned>(payload[bit / 8]) >> offset) &
+          ((1U << take) - 1U);
+      value |= static_cast<std::uint64_t>(chunk) << filled;
+      filled += take;
+      bit += take;
+      remaining -= take;
     }
     return value;
   }
-  // Motorola: first visited bit is the MSB of the field.
-  std::uint16_t bit = start_bit;
-  for (std::uint16_t i = 0; i < length; ++i) {
-    const std::uint8_t b = (payload[bit / 8] >> (bit % 8)) & std::uint8_t{1};
-    value = (value << 1) | b;
-    bit = motorola_next(bit);
+  std::size_t linear = motorola_linear(start_bit);
+  while (remaining > 0) {
+    const unsigned offset = static_cast<unsigned>(linear % 8);
+    const unsigned take = std::min(8U - offset, remaining);
+    const unsigned chunk =
+        (static_cast<unsigned>(payload[linear / 8]) >> (8U - offset - take)) &
+        ((1U << take) - 1U);
+    value = (value << take) | chunk;
+    linear += take;
+    remaining -= take;
   }
   return value;
 }

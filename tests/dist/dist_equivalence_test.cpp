@@ -79,6 +79,17 @@ class DistEquivalenceTest
     return dcfg;
   }
 
+  /// Config of a run without injected failures. Its death window
+  /// (dead_after_missed × heartbeat_ms = 60 s) is far beyond any
+  /// scheduling stall a loaded test host can cause, so a starved
+  /// heartbeat thread cannot be declared dead and `worker_deaths == 0`
+  /// holds by construction; only a real hang would reach it.
+  static dist::DistRunConfig clean_dist_config(const std::string& trace_path) {
+    dist::DistRunConfig dcfg = dist_config(trace_path);
+    dcfg.dead_after_missed = 1200;
+    return dcfg;
+  }
+
   /// run_dist with the same outcome capture as testdiff::run_mode, so the
   /// existing batch-vs-X equivalence machinery applies unchanged.
   static testdiff::RunOutcome run_dist_outcome(
@@ -123,7 +134,7 @@ TEST_P(DistEquivalenceTest, CleanRunsIdenticalAcrossNodeCounts) {
   for (const std::size_t nodes : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}}) {
     SCOPED_TRACE("nodes=" + std::to_string(nodes));
-    dist::DistRunConfig dcfg = dist_config(trace);
+    dist::DistRunConfig dcfg = clean_dist_config(trace);
     dcfg.nodes = nodes;
     const testdiff::RunOutcome dist =
         run_dist_outcome(reader, base_config(), dcfg);
@@ -131,6 +142,34 @@ TEST_P(DistEquivalenceTest, CleanRunsIdenticalAcrossNodeCounts) {
     EXPECT_TRUE(dist.result.dist.enabled);
     EXPECT_EQ(dist.result.dist.worker_deaths, 0u);
     EXPECT_GT(dist.result.dist.ranges_total, 0u);
+  }
+}
+
+// The scan statistics a dist run reports are summed from the workers'
+// accepted ranges: the compressed scan's run counters must come out equal
+// to a streaming run's over the same file (both zero when decoded).
+TEST_P(DistEquivalenceTest, RunCountersMatchStreaming) {
+  const std::string trace = pack(256);
+  const colstore::ColumnarReader reader(trace);
+  const testdiff::RunOutcome streaming = testdiff::run_mode(
+      dataset_->catalog, reader, base_config(), core::ExecMode::Streaming);
+  ASSERT_FALSE(streaming.threw) << streaming.error;
+  dist::DistRunConfig dcfg = clean_dist_config(trace);
+  dcfg.nodes = 3;
+  const testdiff::RunOutcome dist =
+      run_dist_outcome(reader, base_config(), dcfg);
+  ASSERT_FALSE(dist.threw) << dist.error;
+  const colstore::ScanStats& s = streaming.scan_stats;
+  const colstore::ScanStats& d = dist.scan_stats;
+  EXPECT_EQ(d.runs_considered, s.runs_considered);
+  EXPECT_EQ(d.runs_pruned, s.runs_pruned);
+  EXPECT_EQ(d.runs_accepted, s.runs_accepted);
+  EXPECT_EQ(d.rows_emitted, s.rows_emitted);
+  if (GetParam() == colstore::ScanMode::Compressed) {
+    EXPECT_GT(d.runs_considered, 0u);
+    EXPECT_EQ(d.runs_pruned + d.runs_accepted, d.runs_considered);
+  } else {
+    EXPECT_EQ(d.runs_considered, 0u);
   }
 }
 
@@ -146,7 +185,7 @@ TEST_P(DistEquivalenceTest, IdenticalAcrossChunkingsAndRangeCuts) {
     for (const std::uint64_t target : {std::uint64_t{0}, std::uint64_t{1},
                                        std::uint64_t{3}}) {
       SCOPED_TRACE("target_ranges=" + std::to_string(target));
-      dist::DistRunConfig dcfg = dist_config(trace);
+      dist::DistRunConfig dcfg = clean_dist_config(trace);
       dcfg.nodes = 2;
       dcfg.target_ranges = target;
       const testdiff::RunOutcome dist =
@@ -260,7 +299,7 @@ TEST_P(DistCorruptionTest, CorruptChunkEquivalentUnderSkipAndQuarantine) {
         dataset_->catalog, reader, config, core::ExecMode::Batch);
     ASSERT_FALSE(batch.threw) << batch.error;
     ASSERT_EQ(batch.exit_code, 4) << "partial success expected";
-    dist::DistRunConfig dcfg = dist_config(bad_path);
+    dist::DistRunConfig dcfg = clean_dist_config(bad_path);
     dcfg.nodes = 3;
     const testdiff::RunOutcome dist = run_dist_outcome(reader, config, dcfg);
     // Identical recovered-failure records too: the corrupt chunk is

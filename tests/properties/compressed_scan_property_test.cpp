@@ -1,13 +1,14 @@
 // Property wall around the compressed (decode-free) scan path: for random
 // traces × chunk sizes × predicates, ScanMode::Compressed must emit
 // exactly the rows, in exactly the order, of ScanMode::Decoded — cell for
-// cell — and the EmittedRun report of every morsel must tile its
-// partition and agree with the key dictionary. The generator is bursty on
-// purpose (keys repeat in runs like periodic CAN traffic) so the key_idx
-// column has real run structure, with a scattered tail so single-row runs
-// occur too.
+// cell — and every morsel's ChunkSelection must be the same in both
+// modes and carry, per row, the dictionary key of the rendered (bus, id).
+// The generator is bursty on purpose (keys repeat in runs like periodic
+// CAN traffic) so the key_idx column has real run structure, with a
+// scattered tail so single-row runs occur too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -164,7 +165,7 @@ TEST_P(CompressedScanPropertyTest, CompressedEqualsDecodedRowForRow) {
   }
 }
 
-TEST_P(CompressedScanPropertyTest, EmittedRunsTilePartitionsAndMatchDict) {
+TEST_P(CompressedScanPropertyTest, SelectionsAgreeAcrossModesAndMatchDict) {
   const tracefile::Trace trace = bursty_trace(GetParam());
   std::mt19937_64 rng(GetParam() ^ 0x2117);
   for (const std::size_t chunk_rows : {std::size_t{1}, std::size_t{13},
@@ -176,55 +177,58 @@ TEST_P(CompressedScanPropertyTest, EmittedRunsTilePartitionsAndMatchDict) {
     const auto& dict = reader.key_dict();
     const auto& buses = reader.bus_names();
     for (const ScanPredicate& pred : predicate_suite(trace, rng)) {
-      const colstore::ChunkCursor cursor =
+      const colstore::ChunkCursor compressed =
           reader.cursor(pred, {.mode = ScanMode::Compressed});
-      ASSERT_TRUE(cursor.compressed());  // writer always emits v2
-      for (std::size_t k = 0; k < cursor.num_morsels(); ++k) {
-        std::vector<colstore::EmittedRun> runs;
-        dataflow::Partition part = cursor.decode(k, runs);
-        const std::size_t n_rows = part.num_rows();
-        // Runs tile the partition: contiguous from row 0, covering
-        // exactly the emitted rows (a run fully dropped by the time
-        // range is simply absent).
-        std::size_t next_row = 0;
-        for (const colstore::EmittedRun& run : runs) {
-          EXPECT_EQ(run.row_begin, next_row);
-          EXPECT_GT(run.row_count, 0u);
-          ASSERT_LT(run.key, dict.size());
-          next_row = run.row_begin + run.row_count;
+      const colstore::ChunkCursor decoded =
+          reader.cursor(pred, {.mode = ScanMode::Decoded});
+      ASSERT_TRUE(compressed.compressed());  // writer always emits v2
+      ASSERT_EQ(compressed.num_morsels(), decoded.num_morsels());
+      for (std::size_t k = 0; k < compressed.num_morsels(); ++k) {
+        const colstore::ChunkSelection c = compressed.select(k);
+        const colstore::ChunkSelection d = decoded.select(k);
+        // The one row decision, made alike by both modes.
+        ASSERT_EQ(c.size(), d.size());
+        EXPECT_EQ(c.t_ns, d.t_ns);
+        EXPECT_EQ(c.protocol, d.protocol);
+        EXPECT_EQ(c.flags, d.flags);
+        EXPECT_EQ(c.key, d.key);
+        ASSERT_EQ(c.key.size(), c.size());  // v2: every row is keyed
+        EXPECT_TRUE(c.bus.empty() && c.message_id.empty());
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          const auto cp = c.payload_of(i);
+          const auto dp = d.payload_of(i);
+          EXPECT_TRUE(std::equal(cp.begin(), cp.end(), dp.begin(), dp.end()));
         }
-        EXPECT_EQ(next_row, n_rows);
-        // Every row of a run carries its dictionary key's (bus, id):
-        // this is the invariant the array-index join rests on.
+        // Every selected row's key carries the rendered row's (bus, id):
+        // the invariant the kernel's slot table rests on.
         dataflow::Table table(tracefile::kb_schema());
-        table.add_partition(std::move(part));
+        table.add_partition(compressed.decode(k));
         const auto rows = table.collect_rows();
-        for (const colstore::EmittedRun& run : runs) {
-          const colstore::KeyDictEntry& entry = dict[run.key];
+        ASSERT_EQ(rows.size(), c.size());
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          ASSERT_LT(c.key[i], dict.size());
+          const colstore::KeyDictEntry& entry = dict[c.key[i]];
           ASSERT_LT(entry.bus_index, buses.size());
-          for (std::size_t r = run.row_begin;
-               r < run.row_begin + run.row_count; ++r) {
-            EXPECT_EQ(rows[r][2], dataflow::Value(buses[entry.bus_index]));
-            EXPECT_EQ(rows[r][3], dataflow::Value(entry.message_id));
-          }
+          EXPECT_EQ(rows[i][2], dataflow::Value(buses[entry.bus_index]));
+          EXPECT_EQ(rows[i][3], dataflow::Value(entry.message_id));
         }
       }
     }
   }
 }
 
-TEST_P(CompressedScanPropertyTest, DecodedModeReportsNoRuns) {
+TEST_P(CompressedScanPropertyTest, DecodedModeCountsNoRuns) {
   const tracefile::Trace trace = bursty_trace(GetParam());
   const colstore::ColumnarReader reader =
       colstore::ColumnarReader::from_buffer(pack_to_buffer(trace, 16));
   const colstore::ChunkCursor cursor =
       reader.cursor({}, {.mode = ScanMode::Decoded});
   EXPECT_FALSE(cursor.compressed());
+  std::size_t selected = 0;
   for (std::size_t k = 0; k < cursor.num_morsels(); ++k) {
-    std::vector<colstore::EmittedRun> runs;
-    (void)cursor.decode(k, runs);
-    EXPECT_TRUE(runs.empty());
+    selected += cursor.select(k).size();
   }
+  EXPECT_EQ(selected, trace.records.size());
   EXPECT_EQ(cursor.stats().runs_considered, 0u);
 }
 

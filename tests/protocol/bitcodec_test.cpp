@@ -3,8 +3,50 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace ivt::protocol {
 namespace {
+
+/// The bit-at-a-time layout walk the byte-wise codec must agree with:
+/// Intel fields take bits start, start+1, ... (LSB first); Motorola
+/// fields start at their MSB and move towards each byte's LSB, wrapping
+/// to bit 7 of the next byte.
+std::uint16_t reference_motorola_next(std::uint16_t bit) {
+  return static_cast<std::uint16_t>(bit % 8 == 0 ? bit + 15 : bit - 1);
+}
+
+bool reference_fits(std::size_t size, std::uint16_t start,
+                    std::uint16_t length, ByteOrder order) {
+  if (length == 0 || length > 64) return false;
+  if (order == ByteOrder::Intel) return start + length <= size * 8;
+  std::uint16_t bit = start;
+  for (std::uint16_t i = 0; i < length; ++i) {
+    if (bit >= size * 8) return false;
+    if (i + 1 < length) bit = reference_motorola_next(bit);
+  }
+  return true;
+}
+
+std::uint64_t reference_extract(const std::vector<std::uint8_t>& payload,
+                                std::uint16_t start, std::uint16_t length,
+                                ByteOrder order) {
+  std::uint64_t value = 0;
+  std::uint16_t bit = start;
+  for (std::uint16_t i = 0; i < length; ++i) {
+    const std::uint64_t b = (payload[bit / 8] >> (bit % 8)) & 1U;
+    if (order == ByteOrder::Intel) {
+      value |= b << i;
+      ++bit;
+    } else {
+      value = (value << 1) | b;
+      bit = reference_motorola_next(bit);
+    }
+  }
+  return value;
+}
 
 TEST(BitCodecTest, IntelSingleByte) {
   const std::vector<std::uint8_t> payload{0xA5};  // 1010 0101
@@ -83,6 +125,34 @@ TEST(BitCodecTest, FitChecks) {
   EXPECT_FALSE(bit_field_fits(1, 0, 65, ByteOrder::Intel));
   EXPECT_TRUE(bit_field_fits(2, 7, 16, ByteOrder::Motorola));
   EXPECT_FALSE(bit_field_fits(2, 7, 17, ByteOrder::Motorola));
+}
+
+TEST(BitCodecTest, ByteWiseCodecMatchesBitWalkExhaustively) {
+  // Every start bit and length over payloads of 0..11 bytes, both byte
+  // orders, random contents: the fit check and the extracted value must
+  // equal the bit-at-a-time walk's.
+  std::mt19937_64 rng(0xB17C0DE);
+  for (std::size_t size = 0; size <= 11; ++size) {
+    std::vector<std::uint8_t> payload(size);
+    for (std::uint8_t& byte : payload) {
+      byte = static_cast<std::uint8_t>(rng());
+    }
+    for (const ByteOrder order : {ByteOrder::Intel, ByteOrder::Motorola}) {
+      for (std::uint16_t start = 0; start < 100; ++start) {
+        for (std::uint16_t length = 0; length <= 65; ++length) {
+          const bool fits = reference_fits(size, start, length, order);
+          ASSERT_EQ(bit_field_fits(size, start, length, order), fits)
+              << "size=" << size << " start=" << start
+              << " length=" << length;
+          if (!fits) continue;
+          ASSERT_EQ(extract_bits(payload, start, length, order),
+                    reference_extract(payload, start, length, order))
+              << "size=" << size << " start=" << start
+              << " length=" << length;
+        }
+      }
+    }
+  }
 }
 
 TEST(BitCodecTest, OutOfRangeThrows) {
