@@ -14,7 +14,8 @@
 //
 // Each pass appends one JSON line to BENCH_serve.json (IVT_BENCH_JSON_DIR
 // overrides the directory) with sustained QPS, client-side latency
-// p50/p90/p99, the chunk-decode delta and cache hit counts. Overloaded
+// p50/p90/p99 (exact, from the recorded samples), the chunk-decode delta
+// and cache hit counts. Overloaded
 // responses count separately — under an offered load above capacity the
 // correct behaviour is typed retryable rejection, not collapse.
 //
@@ -75,7 +76,7 @@ struct PassResult {
   std::size_t ok = 0;
   std::size_t overloaded = 0;
   std::size_t failed = 0;
-  obs::Histogram::Data latency;
+  std::vector<double> latency_ms;  ///< one sample per request
 };
 
 /// One open-loop pass: `requests` requests spread over `conns` sender
@@ -83,7 +84,7 @@ struct PassResult {
 PassResult run_pass(const std::string& host, std::uint16_t port,
                     const std::string& trace, std::size_t requests,
                     std::size_t conns, double offered_rps) {
-  obs::Histogram latency(obs::default_latency_bounds_ms());
+  std::vector<std::vector<double>> latency(conns);  // per sender
   std::atomic<std::size_t> ok{0};
   std::atomic<std::size_t> overloaded{0};
   std::atomic<std::size_t> failed{0};
@@ -112,7 +113,7 @@ PassResult run_pass(const std::string& host, std::uint16_t port,
           const double ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
-          latency.record(ms);
+          latency[s].push_back(ms);
           if (response.ok()) {
             ok.fetch_add(1, std::memory_order_relaxed);
           } else if (response.error_category() == "overloaded") {
@@ -135,7 +136,10 @@ PassResult run_pass(const std::string& host, std::uint16_t port,
   result.ok = ok.load();
   result.overloaded = overloaded.load();
   result.failed = failed.load();
-  result.latency = latency.data();
+  for (const std::vector<double>& samples : latency) {
+    result.latency_ms.insert(result.latency_ms.end(), samples.begin(),
+                             samples.end());
+  }
   return result;
 }
 
@@ -168,7 +172,7 @@ void emit_pass(bench::JsonLinesEmitter& emitter, const char* pass,
       .add("chunk_cache_misses", chunk_cache.misses)
       .add("state_cache_hits", state_cache.hits)
       .add("state_cache_misses", state_cache.misses);
-  bench::add_histogram_quantiles(record, "latency_ms", result.latency);
+  bench::add_sample_quantiles(record, "latency_ms", result.latency_ms);
   bench::add_robustness_fields(record, bench::read_robustness_counters());
   emitter.emit(record);
   std::printf(
@@ -178,9 +182,9 @@ void emit_pass(bench::JsonLinesEmitter& emitter, const char* pass,
       pass,
       result.seconds > 0.0 ? static_cast<double>(result.ok) / result.seconds
                            : 0.0,
-      offered_rps, result.latency.quantile(0.50),
-      result.latency.quantile(0.99), result.ok, result.overloaded,
-      result.failed,
+      offered_rps, bench::sample_quantile(result.latency_ms, 0.50),
+      bench::sample_quantile(result.latency_ms, 0.99), result.ok,
+      result.overloaded, result.failed,
       static_cast<unsigned long long>(chunks_decoded_delta));
 }
 

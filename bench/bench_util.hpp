@@ -1,6 +1,7 @@
 // Shared helpers for the benchmark binaries.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -219,18 +220,32 @@ class JsonRecord {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Folds a histogram's p50/p90/p99 (obs::Histogram::Data::quantile) into a
-/// bench record as <prefix>_p50/_p90/_p99 plus <prefix>_count, so every
-/// latency histogram a benchmark touches lands in BENCH_*.json with its
-/// tail, not just its mean. Fields are emitted even for an empty
-/// histogram (all zeros) to keep record shapes stable across runs.
-inline JsonRecord& add_histogram_quantiles(JsonRecord& record,
-                                           const std::string& prefix,
-                                           const obs::Histogram::Data& hist) {
-  return record.add(prefix + "_count", hist.count)
-      .add(prefix + "_p50", hist.quantile(0.50))
-      .add(prefix + "_p90", hist.quantile(0.90))
-      .add(prefix + "_p99", hist.quantile(0.99));
+/// Quantile q in [0, 1] of recorded samples, linearly interpolated between
+/// the two nearest ranks (perfbench's percentile()); exact, where a
+/// histogram would answer with a bucket edge. 0 for no samples.
+inline double sample_quantile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = q * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] +
+         (samples[hi] - samples[lo]) * (rank - static_cast<double>(lo));
+}
+
+/// Folds the p50/p90/p99 of recorded samples into a bench record as
+/// <prefix>_p50/_p90/_p99 plus <prefix>_count, so every latency a
+/// benchmark measures lands in BENCH_*.json with its tail, not just its
+/// mean. Fields are emitted for no samples too (all zeros) to keep record
+/// shapes stable across runs.
+inline JsonRecord& add_sample_quantiles(JsonRecord& record,
+                                        const std::string& prefix,
+                                        const std::vector<double>& samples) {
+  return record.add(prefix + "_count",
+                    static_cast<std::uint64_t>(samples.size()))
+      .add(prefix + "_p50", sample_quantile(samples, 0.50))
+      .add(prefix + "_p90", sample_quantile(samples, 0.90))
+      .add(prefix + "_p99", sample_quantile(samples, 0.99));
 }
 
 /// Folds robustness counters into a bench record (cumulative process

@@ -99,6 +99,11 @@ class Column {
     return d == nullptr ? nullptr : d->dict.get();
   }
 
+  /// Per-cell codes into dictionary(). Precondition: dictionary-coded.
+  [[nodiscard]] const std::vector<std::uint32_t>& dictionary_codes() const {
+    return std::get<DictCodes>(data_).codes;
+  }
+
  private:
   using Int64Vec = std::vector<std::int64_t>;
   using Float64Vec = std::vector<double>;

@@ -5,8 +5,10 @@
 // fields containing separator/quote/newline quoted).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "dataflow/table.hpp"
 
@@ -17,7 +19,30 @@ struct CsvOptions {
   bool header = true;
 };
 
-/// Write `table` to `out` in logical row order.
+/// Rows [begin, end) of partition `partition`.
+struct RowRange {
+  std::size_t partition = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Append `table` as CSV to `out`, in logical row order. Int64 cells
+/// render as `%lld` and Float64 cells as `%.9g` would (through
+/// std::to_chars); a dictionary-coded column decides quoting once per
+/// dictionary entry.
+void append_csv(std::string& out, const Table& table,
+                const CsvOptions& options = {});
+
+/// Append part of `table` as CSV to `out`: the fields `columns` (schema
+/// indices, in output order) of the rows in `rows`, range by range. The
+/// bytes equal append_csv of the table that a filter to those rows and a
+/// project to those columns would build.
+void append_csv(std::string& out, const Table& table,
+                const std::vector<std::size_t>& columns,
+                const std::vector<RowRange>& rows,
+                const CsvOptions& options = {});
+
+/// Write `table` to `out` in logical row order (the bytes of append_csv).
 void write_csv(const Table& table, std::ostream& out,
                const CsvOptions& options = {});
 

@@ -5,7 +5,8 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <sstream>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -19,7 +20,6 @@
 #include "core/urel.hpp"
 #include "dataflow/csv.hpp"
 #include "dataflow/engine.hpp"
-#include "dataflow/ops.hpp"
 #include "errors/error.hpp"
 #include "obs/obs.hpp"
 #include "tracefile/trace.hpp"
@@ -46,10 +46,91 @@ dataflow::Engine make_inline_engine() {
   return dataflow::Engine(config);
 }
 
-std::string render_csv(const dataflow::Table& table) {
-  std::ostringstream out;
-  dataflow::write_csv(table, out);
-  return std::move(out).str();
+/// A rendered reply, shared so that tier 2 and the socket write read the
+/// same bytes.
+std::shared_ptr<const std::string> render_csv(const dataflow::Table& table) {
+  std::string csv;
+  dataflow::append_csv(csv, table);
+  return std::make_shared<const std::string>(std::move(csv));
+}
+
+std::shared_ptr<const std::string> render_csv(
+    const dataflow::Table& table, const std::vector<std::size_t>& columns,
+    const std::vector<dataflow::RowRange>& rows) {
+  std::string csv;
+  dataflow::append_csv(csv, table, columns, rows);
+  return std::make_shared<const std::string>(std::move(csv));
+}
+
+/// The columns of a state table that a state request returns: all of
+/// them when it names no signals, else "t" plus each requested signal
+/// that appears in the representation (a signal with no instances grows
+/// no column), in request order. A present signal named twice is a Spec
+/// error, as a projection onto a duplicated field name always was.
+std::vector<std::size_t> state_columns(
+    const dataflow::Schema& schema, const std::vector<std::string>& signals) {
+  std::vector<std::size_t> columns;
+  if (signals.empty()) {
+    columns.resize(schema.size());
+    std::iota(columns.begin(), columns.end(), std::size_t{0});
+    return columns;
+  }
+  columns.push_back(schema.require("t"));
+  for (const std::string& s : signals) {
+    const std::optional<std::size_t> index = schema.index_of(s);
+    if (!index) continue;
+    if (std::find(columns.begin(), columns.end(), *index) != columns.end()) {
+      IVT_THROW(errors::Category::Spec,
+                "serve: signal '" + s + "' is requested twice");
+    }
+    columns.push_back(*index);
+  }
+  return columns;
+}
+
+/// Every row of `table`, one range per partition.
+std::vector<dataflow::RowRange> all_rows(const dataflow::Table& table) {
+  std::vector<dataflow::RowRange> rows;
+  rows.reserve(table.num_partitions());
+  for (std::size_t p = 0; p < table.num_partitions(); ++p) {
+    rows.push_back({p, 0, table.partition(p).num_rows()});
+  }
+  return rows;
+}
+
+/// Rows of a state table with lo <= t <= hi. The representation is
+/// ordered by t with nulls first (core::build_state_representation), so
+/// the rows in range form one run per partition, found by binary search.
+std::vector<dataflow::RowRange> rows_in_range(const dataflow::Table& state,
+                                              std::int64_t lo,
+                                              std::int64_t hi) {
+  const std::size_t t_col = state.schema().require("t");
+  std::vector<dataflow::RowRange> rows;
+  for (std::size_t p = 0; p < state.num_partitions(); ++p) {
+    const dataflow::Column& t = state.partition(p).columns[t_col];
+    const std::vector<std::int64_t>& values = t.int64_data();
+    // First non-null row: nulls lead the partition.
+    std::size_t first = 0;
+    std::size_t count = t.size();
+    while (count > 0) {
+      const std::size_t half = count / 2;
+      if (t.is_null(first + half)) {
+        first += half + 1;
+        count -= half + 1;
+      } else {
+        count = half;
+      }
+    }
+    const auto begin =
+        std::lower_bound(values.begin() + static_cast<std::ptrdiff_t>(first),
+                         values.end(), lo);
+    const auto end = std::upper_bound(begin, values.end(), hi);
+    if (begin < end) {
+      rows.push_back({p, static_cast<std::size_t>(begin - values.begin()),
+                      static_cast<std::size_t>(end - values.begin())});
+    }
+  }
+  return rows;
 }
 
 /// U_comb for the requested signal set; unknown signal names become a
@@ -92,12 +173,21 @@ struct QueryEngine::RequestContext {
 
   /// Scoped per-stage wall clock; results land in the response's
   /// "stages" object and (via the enclosing OBS span) in the Chrome
-  /// trace.
+  /// trace. A stage timed twice in one request reports the sum.
   class StageTimer {
    public:
     StageTimer(RequestContext& ctx, std::string name)
         : ctx_(ctx), name_(std::move(name)), start_(Clock::now()) {}
-    ~StageTimer() { ctx_.stages.emplace_back(name_, ms_since(start_)); }
+    ~StageTimer() {
+      const double wall_ms = ms_since(start_);
+      for (auto& [name, ms] : ctx_.stages) {
+        if (name == name_) {
+          ms += wall_ms;
+          return;
+        }
+      }
+      ctx_.stages.emplace_back(name_, wall_ms);
+    }
     StageTimer(const StageTimer&) = delete;
     StageTimer& operator=(const StageTimer&) = delete;
 
@@ -109,8 +199,17 @@ struct QueryEngine::RequestContext {
 
   [[nodiscard]] bool has_time_range() const { return has_min || has_max; }
 
-  [[nodiscard]] QueryResult finish(json::Object& body,
-                                   std::string payload = {}) const {
+  /// The requested time slice, open ends widened to the int64 range.
+  [[nodiscard]] std::int64_t lo_t_ns() const {
+    return has_min ? min_t_ns : std::numeric_limits<std::int64_t>::min();
+  }
+  [[nodiscard]] std::int64_t hi_t_ns() const {
+    return has_max ? max_t_ns : std::numeric_limits<std::int64_t>::max();
+  }
+
+  [[nodiscard]] QueryResult finish(
+      json::Object& body,
+      std::shared_ptr<const std::string> payload = nullptr) const {
     json::Object stage_obj;
     for (const auto& [name, wall_ms] : stages) stage_obj.add(name, wall_ms);
     body.raw("stages", stage_obj.str());
@@ -320,10 +419,10 @@ QueryResult QueryEngine::op_metrics(RequestContext& ctx) {
   // Prometheus text exposition of the whole registry as the payload; the
   // JSON body is just the envelope. `ivt query --op metrics --out -` is a
   // scrape.
-  std::string payload =
-      obs::to_prometheus(obs::Registry::instance().snapshot());
+  auto payload = std::make_shared<const std::string>(
+      obs::to_prometheus(obs::Registry::instance().snapshot()));
   json::Object body = ctx.base();
-  body.add("bytes", static_cast<std::uint64_t>(payload.size()))
+  body.add("bytes", static_cast<std::uint64_t>(payload->size()))
       .add("payload_format", "prometheus");
   return ctx.finish(body, std::move(payload));
 }
@@ -336,10 +435,8 @@ dataflow::Table QueryEngine::load_kb(RequestContext& ctx,
   colstore::ScanPredicate pred = core::urel_scan_predicate(urel);
   if (ctx.has_time_range()) {
     pred.has_time_range = true;
-    pred.min_t_ns =
-        ctx.has_min ? ctx.min_t_ns : std::numeric_limits<std::int64_t>::min();
-    pred.max_t_ns =
-        ctx.has_max ? ctx.max_t_ns : std::numeric_limits<std::int64_t>::max();
+    pred.min_t_ns = ctx.lo_t_ns();
+    pred.max_t_ns = ctx.hi_t_ns();
   }
   dataflow::Table kb(tracefile::kb_schema());
   ctx.chunks_total = entry.chunks.size();
@@ -374,7 +471,7 @@ QueryResult QueryEngine::op_preselect(RequestContext& ctx) {
   const TraceEntry& entry = catalog_->require(ctx.trace);
   const dataflow::Table urel = build_urel(catalog_->db(), ctx.signals);
   const dataflow::Table kb = load_kb(ctx, entry, urel);
-  std::string payload;
+  std::shared_ptr<const std::string> payload;
   {
     const RequestContext::StageTimer timer(ctx, "serialize");
     payload = render_csv(kb);
@@ -402,7 +499,7 @@ QueryResult QueryEngine::op_extract(RequestContext& ctx) {
     OBS_SPAN("serve.interpret");
     ks = core::interpret(engine, kb, urel, options);
   }
-  std::string payload;
+  std::shared_ptr<const std::string> payload;
   {
     const RequestContext::StageTimer timer(ctx, "serialize");
     payload = render_csv(ks);
@@ -417,8 +514,9 @@ QueryResult QueryEngine::op_extract(RequestContext& ctx) {
   return ctx.finish(body, std::move(payload));
 }
 
-std::shared_ptr<const StateEntry> QueryEngine::state_entry(
-    RequestContext& ctx, const TraceEntry& entry) {
+QueryEngine::StateLookup QueryEngine::state_entry(RequestContext& ctx,
+                                                  const TraceEntry& entry,
+                                                  bool with_payload) {
   // Tier-2 key: everything that changes the pipeline's output. Signals
   // are order-insensitive (U_comb is a set), so the key sorts them.
   std::vector<std::string> sorted = ctx.signals;
@@ -432,7 +530,7 @@ std::shared_ptr<const StateEntry> QueryEngine::state_entry(
   for (const std::string& s : sorted) key += "|" + s;
 
   if (std::shared_ptr<const StateEntry> hit = state_cache_.get(key)) {
-    return hit;
+    return {std::move(hit), true};
   }
 
   // Build: full-journey pipeline run (NOT time-sliced — the state
@@ -462,75 +560,71 @@ std::shared_ptr<const StateEntry> QueryEngine::state_entry(
     built->state = std::move(result.state);
     built->krep = std::move(result.krep);
   }
-  state_cache_.put(key, built,
-                   approx_table_bytes(built->state) +
-                       approx_table_bytes(built->krep));
-  return built;
+  std::size_t bytes =
+      approx_table_bytes(built->state) + approx_table_bytes(built->krep);
+  if (with_payload) {
+    // Rendered once, here: this request's reply and every later hit
+    // with the same projection send these bytes.
+    const RequestContext::StageTimer timer(ctx, "serialize");
+    built->payload_columns = state_columns(built->state.schema(), ctx.signals);
+    std::string csv;
+    dataflow::append_csv(csv, built->state, built->payload_columns,
+                         all_rows(built->state));
+    csv.shrink_to_fit();
+    bytes += csv.size();
+    built->payload = std::make_shared<const std::string>(std::move(csv));
+  }
+  state_cache_.put(key, built, bytes);
+  return {std::move(built), false};
 }
 
 QueryResult QueryEngine::op_state(RequestContext& ctx) {
   const TraceEntry& entry = catalog_->require(ctx.trace);
-  const std::uint64_t hits_before = state_cache_stats().hits;
-  const std::shared_ptr<const StateEntry> cached = state_entry(ctx, entry);
-  const bool was_hit = state_cache_stats().hits > hits_before;
-  ctx.state_cache_hit = was_hit;
+  const StateLookup lookup = state_entry(ctx, entry, /*with_payload=*/true);
+  const StateEntry& cached = *lookup.entry;
+  ctx.state_cache_hit = lookup.hit;
 
-  // Slice lazily: the common full-table query serializes straight from
-  // the cached table without copying it.
-  const dataflow::Table* result = &cached->state;
-  dataflow::Table sliced;
+  // A request with no time range whose projection is the one the entry
+  // was rendered for is handed the entry's buffer. Any other request
+  // renders its columns and rows straight from the cached table.
+  std::vector<std::size_t> columns;
+  std::vector<dataflow::RowRange> rows;
+  bool handout = false;
   {
     const RequestContext::StageTimer timer(ctx, "slice");
-    dataflow::Engine engine = make_inline_engine();
-    if (ctx.has_time_range()) {
-      const std::size_t t_col = result->schema().require("t");
-      const std::int64_t lo = ctx.has_min
-                                  ? ctx.min_t_ns
-                                  : std::numeric_limits<std::int64_t>::min();
-      const std::int64_t hi = ctx.has_max
-                                  ? ctx.max_t_ns
-                                  : std::numeric_limits<std::int64_t>::max();
-      sliced = dataflow::filter(
-          engine, *result,
-          [t_col, lo, hi](const dataflow::RowView& row) {
-            if (row.is_null(t_col)) return false;
-            const std::int64_t t = row.int64_at(t_col);
-            return t >= lo && t <= hi;
-          },
-          "serve.state_slice");
-      result = &sliced;
-    }
-    if (!ctx.signals.empty()) {
-      // Project "t" plus the requested signals that actually appear in
-      // the representation (a signal with no instances grows no column).
-      std::vector<std::string> columns{"t"};
-      for (const std::string& s : ctx.signals) {
-        if (result->schema().contains(s)) columns.push_back(s);
-      }
-      sliced = dataflow::project(engine, *result, columns);
-      result = &sliced;
+    columns = state_columns(cached.state.schema(), ctx.signals);
+    handout = !ctx.has_time_range() && cached.payload != nullptr &&
+              columns == cached.payload_columns;
+    if (!handout) {
+      rows = ctx.has_time_range()
+                 ? rows_in_range(cached.state, ctx.lo_t_ns(), ctx.hi_t_ns())
+                 : all_rows(cached.state);
     }
   }
-  std::string payload;
+  std::shared_ptr<const std::string> payload;
   {
     const RequestContext::StageTimer timer(ctx, "serialize");
-    payload = render_csv(*result);
+    payload = handout ? cached.payload
+                      : render_csv(cached.state, columns, rows);
   }
-  ctx.rows = result->num_rows();
+  std::size_t num_rows = cached.state.num_rows();
+  if (!handout) {
+    num_rows = 0;
+    for (const dataflow::RowRange& r : rows) num_rows += r.end - r.begin;
+  }
+  ctx.rows = num_rows;
   json::Object body = ctx.base();
-  body.add("rows", static_cast<std::uint64_t>(result->num_rows()))
-      .add("columns", static_cast<std::uint64_t>(result->schema().size()))
-      .add("cached", was_hit)
+  body.add("rows", static_cast<std::uint64_t>(num_rows))
+      .add("columns", static_cast<std::uint64_t>(columns.size()))
+      .add("cached", lookup.hit)
       .add("payload_format", "csv");
   return ctx.finish(body, std::move(payload));
 }
 
 QueryResult QueryEngine::op_mine(RequestContext& ctx) {
   const TraceEntry& entry = catalog_->require(ctx.trace);
-  const std::uint64_t hits_before = state_cache_stats().hits;
-  const std::shared_ptr<const StateEntry> cached = state_entry(ctx, entry);
-  const bool was_hit = state_cache_stats().hits > hits_before;
-  ctx.state_cache_hit = was_hit;
+  const StateLookup lookup = state_entry(ctx, entry, /*with_payload=*/false);
+  ctx.state_cache_hit = lookup.hit;
 
   apps::AnomalyConfig config;
   config.top_k = static_cast<std::size_t>(std::max<std::int64_t>(ctx.top_k, 0));
@@ -538,7 +632,7 @@ QueryResult QueryEngine::op_mine(RequestContext& ctx) {
   {
     const RequestContext::StageTimer timer(ctx, "mine");
     OBS_SPAN("serve.mine");
-    anomalies = apps::detect_element_anomalies(cached->krep, config);
+    anomalies = apps::detect_element_anomalies(lookup.entry->krep, config);
   }
   std::string array = "[";
   for (std::size_t i = 0; i < anomalies.size(); ++i) {
@@ -556,7 +650,7 @@ QueryResult QueryEngine::op_mine(RequestContext& ctx) {
   ctx.rows = anomalies.size();
   json::Object body = ctx.base();
   body.add("count", static_cast<std::uint64_t>(anomalies.size()))
-      .add("cached", was_hit)
+      .add("cached", lookup.hit)
       .raw("anomalies", array);
   return ctx.finish(body);
 }

@@ -33,11 +33,15 @@
 //     (state + K_rep tables), keyed (trace, signal set, rate threshold).
 //     Hits skip scan, decode and the whole pipeline — repeated state and
 //     mine queries settle here, which is what makes the warm-path
-//     "serve.chunks_decoded" counter go flat.
+//     "serve.chunks_decoded" counter go flat. An entry a state request
+//     built also holds that request's rendered CSV reply: a later hit
+//     with the same projection and no time range is handed the same
+//     buffer; every other hit renders from the table.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,10 +72,16 @@ struct QueryEngineConfig {
   std::size_t stats_window_s = 60;
 };
 
-/// Tier-2 entry: pipeline output worth re-slicing.
+/// Tier-2 entry: pipeline output worth re-slicing, plus the reply of the
+/// state request that built it. Charged to the budget as both tables plus
+/// the payload bytes, so the payload is evicted with its table.
 struct StateEntry {
   dataflow::Table state;
   dataflow::Table krep;
+  /// CSV of `state` projected to `payload_columns`, all rows; null when a
+  /// mine request built the entry.
+  std::shared_ptr<const std::string> payload;
+  std::vector<std::size_t> payload_columns;
 };
 
 using StateCache = ShardedLruCache<std::string, StateEntry>;
@@ -110,7 +120,9 @@ struct RequestAccounting {
 
 struct QueryResult {
   std::string json;
-  std::string payload;
+  /// Raw reply bytes (null = none); shared and immutable, so a tier-2
+  /// payload reaches the socket without a copy.
+  std::shared_ptr<const std::string> payload;
 
   /// Per-request accounting, filled by execute() for the server's access
   /// record (event log) — how the request was served, not just what it
@@ -172,9 +184,16 @@ class QueryEngine {
   dataflow::Table load_kb(RequestContext& ctx, const TraceEntry& entry,
                           const dataflow::Table& urel);
 
-  /// Tier-2 lookup / build of the state representation.
-  std::shared_ptr<const StateEntry> state_entry(RequestContext& ctx,
-                                                const TraceEntry& entry);
+  struct StateLookup {
+    std::shared_ptr<const StateEntry> entry;
+    bool hit = false;
+  };
+
+  /// Tier-2 lookup / build of the state representation. A build for a
+  /// state request (`with_payload`) renders the request's projection
+  /// into the entry before it is cached.
+  StateLookup state_entry(RequestContext& ctx, const TraceEntry& entry,
+                          bool with_payload);
 
   const TraceCatalog* catalog_;
   ChunkCache chunk_cache_;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <string_view>
 #include <utility>
 
 #include "errors/error.hpp"
@@ -59,9 +60,9 @@ namespace {
 /// JSON, unknown trace, injected faults, admission rejection — ends up
 /// here; the connection itself stays healthy. A nonzero trace_id is
 /// echoed so clients can correlate failures with their traces too.
-Frame error_frame(std::uint64_t request_id, const std::string& op,
-                  errors::Category category, const std::string& message,
-                  std::uint64_t trace_id = 0) {
+std::string error_body(std::uint64_t request_id, const std::string& op,
+                       errors::Category category, const std::string& message,
+                       std::uint64_t trace_id = 0) {
   const WireError wire = wire_category(category);
   json::Object error;
   error.add("category", std::string(wire.category))
@@ -72,7 +73,7 @@ Frame error_frame(std::uint64_t request_id, const std::string& op,
   if (!op.empty()) body.add("op", op);
   if (trace_id != 0) body.add("trace_id", obs::trace_id_hex(trace_id));
   body.raw("error", error.str());
-  return Frame{body.str(), {}};
+  return body.str();
 }
 
 /// The request's propagated trace context ("trace_ctx" member), or a
@@ -121,6 +122,15 @@ void Server::start() {
   }
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Cap the segment size of accepted connections. Over loopback (64 KiB
+  // MTU) a client's default 128 KiB receive buffer opens a window of about
+  // one segment, so a reply of a few hundred KiB to a client that is busy
+  // reading another socket stalls on a zero window until a delayed ACK or
+  // retransmit probe, 40-200 ms later. 16 KiB segments keep that window
+  // several segments wide; an Ethernet path's MSS is below the cap.
+  const int max_segment = 16 * 1024;
+  ::setsockopt(listen_fd_, IPPROTO_TCP, TCP_MAXSEG, &max_segment,
+               sizeof(max_segment));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(config_.port);
@@ -270,7 +280,10 @@ void Server::serve_connection(int fd) {
     OBS_COUNT("serve.requests_total", 1);
     const auto start = std::chrono::steady_clock::now();
     AccessInfo access;
-    const Frame response = handle_request(request, request_id, access);
+    const Reply response = handle_request(request, request_id, access);
+    const std::string_view payload =
+        response.payload != nullptr ? std::string_view(*response.payload)
+                                    : std::string_view();
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
@@ -302,7 +315,7 @@ void Server::serve_connection(int fd) {
                               request.json.size() + request.payload.size()))
           .kv("bytes_out",
               static_cast<std::uint64_t>(response.json.size() +
-                                         response.payload.size()));
+                                         payload.size()));
       if (access.ok) {
         record
             .kv("rows", access.stats.rows)
@@ -335,14 +348,14 @@ void Server::serve_connection(int fd) {
     }
 
     try {
-      write_frame(fd, response);
+      write_frame(fd, response.json, payload);
     } catch (const errors::Error&) {
       break;  // peer gone; response undeliverable
     }
   }
 }
 
-Frame Server::handle_request(const Frame& request, std::uint64_t request_id,
+Server::Reply Server::handle_request(const Frame& request, std::uint64_t request_id,
                              AccessInfo& access) {
   std::string op;
   std::uint64_t trace_id = 0;
@@ -363,7 +376,7 @@ Frame Server::handle_request(const Frame& request, std::uint64_t request_id,
       if (trace_id != 0) ok.add("trace_id", obs::trace_id_hex(trace_id));
       access.ok = true;
       request_stop();
-      return Frame{ok.str(), {}};
+      return Reply{ok.str(), nullptr};
     }
 
     // Admission gate: claim a slot or answer Overloaded immediately.
@@ -436,33 +449,38 @@ Frame Server::handle_request(const Frame& request, std::uint64_t request_id,
           1, std::memory_order_relaxed);
       OBS_COUNT("serve.requests_failed", 1);
       access.error_category = errors::to_string(outcome.category);
-      return error_frame(request_id, op, outcome.category, outcome.message,
-                         trace_id);
+      return Reply{error_body(request_id, op, outcome.category,
+                              outcome.message, trace_id),
+                   nullptr};
     }
     access.ok = true;
     access.stats = outcome.result.stats;
-    return Frame{std::move(outcome.result.json),
+    return Reply{std::move(outcome.result.json),
                  std::move(outcome.result.payload)};
   } catch (const errors::Error& e) {
     engine_.accounting().requests_failed.fetch_add(1,
                                                    std::memory_order_relaxed);
     OBS_COUNT("serve.requests_failed", 1);
     access.error_category = errors::to_string(e.category());
-    return error_frame(request_id, op, e.category(), e.describe(), trace_id);
+    return Reply{
+        error_body(request_id, op, e.category(), e.describe(), trace_id),
+        nullptr};
   } catch (const std::invalid_argument& e) {
     engine_.accounting().requests_failed.fetch_add(1,
                                                    std::memory_order_relaxed);
     OBS_COUNT("serve.requests_failed", 1);
     access.error_category = errors::to_string(errors::Category::Spec);
-    return error_frame(request_id, op, errors::Category::Spec, e.what(),
-                       trace_id);
+    return Reply{error_body(request_id, op, errors::Category::Spec, e.what(),
+                            trace_id),
+                 nullptr};
   } catch (const std::exception& e) {
     engine_.accounting().requests_failed.fetch_add(1,
                                                    std::memory_order_relaxed);
     OBS_COUNT("serve.requests_failed", 1);
     access.error_category = errors::to_string(errors::Category::Internal);
-    return error_frame(request_id, op, errors::Category::Internal, e.what(),
-                       trace_id);
+    return Reply{error_body(request_id, op, errors::Category::Internal,
+                            e.what(), trace_id),
+                 nullptr};
   }
 }
 

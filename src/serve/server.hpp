@@ -125,10 +125,17 @@ class Server {
     QueryResult::Stats stats;    ///< set when ok
   };
 
+  /// A response on its way to the socket. The payload (null = none) may
+  /// be a tier-2 buffer, written without a copy.
+  struct Reply {
+    std::string json;
+    std::shared_ptr<const std::string> payload;
+  };
+
   /// Admission + execution + rendering of one request. Always returns a
-  /// response frame — failures become {"ok": false, "error": {...}}
-  /// bodies, never dropped connections.
-  Frame handle_request(const Frame& request, std::uint64_t request_id,
+  /// response — failures become {"ok": false, "error": {...}} bodies,
+  /// never dropped connections.
+  Reply handle_request(const Frame& request, std::uint64_t request_id,
                        AccessInfo& access);
 
   ServerConfig config_;

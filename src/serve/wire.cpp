@@ -134,26 +134,30 @@ bool read_frame(int fd, Frame& out) {
 }
 
 void write_frame(int fd, const Frame& frame) {
-  if (frame.json.size() > kMaxJsonBytes) {
+  write_frame(fd, frame.json, frame.payload);
+}
+
+void write_frame(int fd, std::string_view json, std::string_view payload) {
+  if (json.size() > kMaxJsonBytes) {
     IVT_THROW(errors::Category::Format,
               "serve: refusing to send JSON body of " +
-                  std::to_string(frame.json.size()) + " bytes (limit " +
+                  std::to_string(json.size()) + " bytes (limit " +
                   std::to_string(kMaxJsonBytes) + ")");
   }
-  if (frame.payload.size() > kMaxPayloadBytes) {
+  if (payload.size() > kMaxPayloadBytes) {
     IVT_THROW(errors::Category::Format,
               "serve: refusing to send payload of " +
-                  std::to_string(frame.payload.size()) + " bytes (limit " +
+                  std::to_string(payload.size()) + " bytes (limit " +
                   std::to_string(kMaxPayloadBytes) + ")");
   }
   char header[12];
   store_u32le(header, kFrameMagic);
-  store_u32le(header + 4, static_cast<std::uint32_t>(frame.json.size()));
-  store_u32le(header + 8, static_cast<std::uint32_t>(frame.payload.size()));
+  store_u32le(header + 4, static_cast<std::uint32_t>(json.size()));
+  store_u32le(header + 8, static_cast<std::uint32_t>(payload.size()));
   iovec iov[3] = {
       {header, sizeof(header)},
-      {const_cast<char*>(frame.json.data()), frame.json.size()},
-      {const_cast<char*>(frame.payload.data()), frame.payload.size()},
+      {const_cast<char*>(json.data()), json.size()},
+      {const_cast<char*>(payload.data()), payload.size()},
   };
   write_all(fd, iov, 3);
 }

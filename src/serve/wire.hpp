@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace ivt::serve {
 
@@ -45,5 +46,9 @@ bool read_frame(int fd, Frame& out);
 /// writes. Throws errors::Error(Format) when a body exceeds its limit and
 /// errors::Error(Io) when the peer is gone.
 void write_frame(int fd, const Frame& frame);
+
+/// Same, for a frame whose parts live elsewhere (a reply payload shared
+/// with a cache): the gather write sends straight from those bytes.
+void write_frame(int fd, std::string_view json, std::string_view payload);
 
 }  // namespace ivt::serve

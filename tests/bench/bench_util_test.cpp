@@ -44,6 +44,28 @@ TEST(BenchUtilTest, JsonRecordRendersTypedFields) {
             "\"rows\": 42, \"quick\": true}");
 }
 
+TEST(BenchUtilTest, SampleQuantilesInterpolateBetweenRanks) {
+  // 1..100 out of order: rank q·99 between the two nearest samples.
+  std::vector<double> samples;
+  for (int i = 0; i < 100; ++i) samples.push_back((i * 37) % 100 + 1);
+  EXPECT_DOUBLE_EQ(sample_quantile(samples, 0.50), 50.5);
+  EXPECT_NEAR(sample_quantile(samples, 0.90), 90.1, 1e-9);
+  EXPECT_NEAR(sample_quantile(samples, 0.99), 99.01, 1e-9);
+  EXPECT_DOUBLE_EQ(sample_quantile(samples, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(sample_quantile(samples, 1.0), 100.0);
+  EXPECT_DOUBLE_EQ(sample_quantile({7.25}, 0.99), 7.25);
+  EXPECT_DOUBLE_EQ(sample_quantile({}, 0.5), 0.0);
+  // Not a bucket edge: a tail between two far-apart samples.
+  EXPECT_DOUBLE_EQ(sample_quantile({1.0, 1.0, 1.0, 101.0}, 0.90), 71.0);
+
+  JsonRecord record;
+  const std::string line =
+      add_sample_quantiles(record, "lat", {3.0, 1.0, 2.0}).to_line();
+  EXPECT_EQ(line,
+            "{\"lat_count\": 3, \"lat_p50\": 2, \"lat_p90\": 2.8, "
+            "\"lat_p99\": 2.98}");
+}
+
 TEST(BenchUtilTest, RobustnessCountersReadFromRegistry) {
 #if IVT_OBS_ENABLED
   obs::Registry::instance().reset();
